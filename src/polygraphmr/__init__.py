@@ -23,7 +23,7 @@ Layers (see ``docs/ARCHITECTURE.md``):
 from .breaker import BreakerBoard, BreakerPolicy, CircuitBreaker
 from .cache import ArtifactCache, SharedMemoryPlane
 from .decision import DetectionMetrics, LogisticDecisionModule
-from .ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, ModelSkipped
+from .ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, FittedEnsemble, ModelSkipped
 from .errors import (
     ArtifactCorrupt,
     ArtifactError,
@@ -139,6 +139,7 @@ __all__ = [
     "EnsembleResult",
     "EnsembleRuntime",
     "FaultSpec",
+    "FittedEnsemble",
     "FrameAssembler",
     "Gauge",
     "Histogram",

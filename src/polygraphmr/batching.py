@@ -6,11 +6,11 @@ injection, and metric evaluation all run once per trial even though most
 of that work is identical across every trial of the same model.  This
 module turns contiguous runs of pending trials into **batches** that share
 the expensive, fault-independent half (:func:`polygraphmr.faults.
-prepare_degradation` — assemble + fit + clean metrics, done once per
-batch) and run the fault-dependent half as stacked tensor ops
-(:func:`~polygraphmr.faults.apply_fault_batch`,
-:func:`~polygraphmr.faults.sanitize_probs_batch`,
-:func:`~polygraphmr.decision.ensemble_features_batch`).
+prepare_degradation` — the runtime's one fitted ensemble plus clean
+metrics, done once per batch) and hand each group of same-identity faults
+to :func:`polygraphmr.faults.degradation_reports` — the same function a
+single trial calls with a list of one, whose kernels take a leading batch
+axis.
 
 The contract is the repo's north star: **journal bytes must be identical
 to the serial runner's.**  Three rules keep that true:
@@ -48,11 +48,8 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
-
 from .breaker import CLOSED
-from .decision import ensemble_features_batch, misprediction_targets
-from .faults import degradation_payload, prepare_degradation, sanitize_probs_batch
+from .faults import degradation_reports, prepare_degradation
 from .metrics import BATCH_SIZE_BUCKETS, get_registry
 from .tracing import get_tracer
 
@@ -255,11 +252,7 @@ class BatchTrialEngine:
                 time.sleep(config.trial_sleep_s)
             specs = [executor.derive_spec(index) for index in indices]
             ctx = prepare_degradation(
-                executor.store,
-                model,
-                seed=config.seed,
-                runtime=executor.runtime_for(model),
-                tick=False,
+                executor.store, model, seed=config.seed, runtime=executor.runtime_for(model)
             )
             results: dict[int, dict] = {}
             grouped: dict[tuple, list] = {}
@@ -267,7 +260,8 @@ class BatchTrialEngine:
                 key = (spec.scenario, spec.scenario_sha256, spec.kind, spec.rate, spec.sigma)
                 grouped.setdefault(key, []).append(spec)
             for group in grouped.values():
-                results.update(self._run_fault_group(ctx, group))
+                reports = degradation_reports(ctx, [executor.fault_for(spec) for spec in group])
+                results.update((spec.index, report) for spec, report in zip(group, reports))
             elapsed = time.perf_counter() - start
             span.set(outcome=OUTCOME_OK)
 
@@ -295,46 +289,3 @@ class BatchTrialEngine:
                     "campaign_scenario_trials_total", scenario=spec.scenario, outcome=OUTCOME_OK
                 ).inc()
         return records
-
-    def _run_fault_group(self, ctx, specs: list) -> dict[int, dict]:
-        """Evaluate one fault identity (same scenario or legacy kind/rate/
-        sigma, distinct per-trial seeds) across the whole batch."""
-
-        executor = self.executor
-        faults = [executor.fault_for(spec) for spec in specs]
-        module = ctx.module
-        out: dict[int, dict] = {}
-
-        if getattr(faults[0], "target", "probs") == "weights":
-            # the faulted surface is the module's own weight vector — tiny,
-            # so batching buys nothing; the fit is still amortized
-            pristine = module.w
-            try:
-                for spec, fault in zip(specs, faults):
-                    module.w = np.asarray(fault.apply(pristine), dtype=np.float64)
-                    faulted_flags = module.predict(ctx.clean_features)
-                    faulted = module.evaluate(ctx.clean_features, ctx.clean_targets)
-                    out[spec.index] = degradation_payload(ctx, fault, faulted, faulted_flags)
-            finally:
-                module.w = pristine
-            return out
-
-        n_trials = len(specs)
-        n_members = len(ctx.members)
-        inner = ctx.test_stack.shape[1:]
-        # tile the clean test stack across the batch: (B*M, N, C); every
-        # member of trial b shares that trial's fault seed, exactly like the
-        # serial per-member loop re-seeding the same Generator
-        tiled = np.broadcast_to(
-            ctx.test_stack[None], (n_trials,) + ctx.test_stack.shape
-        ).reshape((n_trials * n_members,) + inner)
-        seeds = np.repeat([spec.fault_seed for spec in specs], n_members)
-        faulted = faults[0].apply_batch(tiled, seeds=seeds)
-        faulted = sanitize_probs_batch(faulted).reshape((n_trials, n_members) + inner)
-        features = ensemble_features_batch(faulted)
-        for b, (spec, fault) in enumerate(zip(specs, faults)):
-            faulted_targets = misprediction_targets(faulted[b, ctx.org_i], ctx.test_labels)
-            faulted_flags = module.predict(features[b])
-            metrics = module.evaluate(features[b], faulted_targets)
-            out[spec.index] = degradation_payload(ctx, fault, metrics, faulted_flags)
-        return out

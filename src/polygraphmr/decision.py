@@ -20,7 +20,7 @@ __all__ = [
     "DetectionMetrics",
     "LogisticDecisionModule",
     "ensemble_features",
-    "ensemble_features_batch",
+    "majority_vote",
     "misprediction_targets",
 ]
 
@@ -49,49 +49,41 @@ class DetectionMetrics:
         }
 
 
+def majority_vote(votes: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-sample majority class of member votes ``(..., M, N)`` → ``(..., N)``.
+
+    A one-hot tally plus argmax, so ties break toward the lowest class,
+    exactly like ``np.bincount(column).argmax()``.
+    """
+
+    counts = (votes[..., None] == np.arange(n_classes)).sum(axis=-3)  # (..., N, C) vote tallies
+    return counts.argmax(axis=-1)
+
+
 def ensemble_features(stacked: np.ndarray) -> np.ndarray:
-    """Feature matrix from a stacked probability tensor ``(M, N, C)``.
+    """Feature matrix from a stacked probability tensor ``(..., M, N, C)``.
 
     Concatenates every member's probability vector with cheap agreement
     statistics (mean-prob entropy, max mean-prob, top-1 vote agreement,
     ORG-vs-ensemble disagreement) that carry most of the detection signal
     and keep the feature map usable when members drop out.
+
+    Leading axes are batch axes: every statistic reduces over the member or
+    class axis of one stack, so ``out[b]`` is bit-identical to
+    ``ensemble_features(stacked[b])``.
     """
 
-    m, n, c = stacked.shape
-    flat = np.transpose(stacked, (1, 0, 2)).reshape(n, m * c)
-    mean = stacked.mean(axis=0)  # (N, C)
+    *lead, m, n, c = stacked.shape
+    flat = np.swapaxes(stacked, -3, -2).reshape(*lead, n, m * c)
+    mean = stacked.mean(axis=-3)  # (..., N, C)
     eps = 1e-12
-    entropy = -(mean * np.log(mean + eps)).sum(axis=1, keepdims=True)
-    max_mean = mean.max(axis=1, keepdims=True)
-    votes = stacked.argmax(axis=2)  # (M, N)
-    majority = np.apply_along_axis(lambda col: np.bincount(col, minlength=c).argmax(), 0, votes)
-    agreement = (votes == majority[None, :]).mean(axis=0, keepdims=True).T  # (N, 1)
-    org_disagrees = (votes[0] != majority).astype(np.float64)[:, None]
-    return np.concatenate([flat, entropy, max_mean, agreement, org_disagrees], axis=1)
-
-
-def ensemble_features_batch(batched: np.ndarray) -> np.ndarray:
-    """:func:`ensemble_features` over a batch of stacked tensors ``(B, M, N, C)``.
-
-    ``out[b]`` is bit-identical to ``ensemble_features(batched[b])``: every
-    statistic reduces over the member or class axis elementwise, and the
-    majority vote is recomputed as a one-hot count + argmax, which breaks
-    ties toward the lowest class exactly like ``np.bincount(...).argmax()``.
-    """
-
-    b, m, n, c = batched.shape
-    flat = np.transpose(batched, (0, 2, 1, 3)).reshape(b, n, m * c)
-    mean = batched.mean(axis=1)  # (B, N, C)
-    eps = 1e-12
-    entropy = -(mean * np.log(mean + eps)).sum(axis=2, keepdims=True)
-    max_mean = mean.max(axis=2, keepdims=True)
-    votes = batched.argmax(axis=3)  # (B, M, N)
-    counts = (votes[..., None] == np.arange(c)).sum(axis=1)  # (B, N, C) vote tallies
-    majority = counts.argmax(axis=2)  # (B, N)
-    agreement = (votes == majority[:, None, :]).mean(axis=1)[..., None]  # (B, N, 1)
-    org_disagrees = (votes[:, 0] != majority).astype(np.float64)[..., None]
-    return np.concatenate([flat, entropy, max_mean, agreement, org_disagrees], axis=2)
+    entropy = -(mean * np.log(mean + eps)).sum(axis=-1, keepdims=True)
+    max_mean = mean.max(axis=-1, keepdims=True)
+    votes = stacked.argmax(axis=-1)  # (..., M, N)
+    majority = majority_vote(votes, c)  # (..., N)
+    agreement = (votes == majority[..., None, :]).mean(axis=-2)[..., None]  # (..., N, 1)
+    org_disagrees = (votes[..., 0, :] != majority).astype(np.float64)[..., None]
+    return np.concatenate([flat, entropy, max_mean, agreement, org_disagrees], axis=-1)
 
 
 def misprediction_targets(org_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

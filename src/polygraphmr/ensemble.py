@@ -7,6 +7,14 @@ missing members still produces a result — explicitly marked degraded and
 naming the members that dropped out — and only when fewer than
 ``min_members`` survive does it raise :class:`DegradedEnsemble`.
 
+:meth:`EnsembleRuntime.fit` is the one place that turns a model into a
+:class:`FittedEnsemble`: assemble both splits, intersect the survivors,
+stack them, fit the decision gate on ``val``.  ``run_model``, the
+degradation harness (and through it the campaign's per-trial and batched
+paths) and the serving gateway all start from it; it never ticks a breaker
+board, so each caller ticks where its own clock says a trial or batch
+begins.
+
 A runtime instance (store + breaker board + decision caches) is mutable
 state and must stay within one process: multiprocess campaign workers each
 build their own runtime after ``fork`` via
@@ -23,18 +31,18 @@ array in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .breaker import BreakerBoard
-from .decision import DetectionMetrics, LogisticDecisionModule, ensemble_features, misprediction_targets
+from .decision import DetectionMetrics, LogisticDecisionModule, ensemble_features, majority_vote, misprediction_targets
 from .errors import DegradedEnsemble
 from .metrics import get_registry
 from .store import ArtifactStore
 from .tracing import get_tracer
 
-__all__ = ["EnsembleBatch", "EnsembleResult", "DegradedResult", "ModelSkipped", "EnsembleRuntime"]
+__all__ = ["EnsembleBatch", "FittedEnsemble", "EnsembleResult", "DegradedResult", "ModelSkipped", "EnsembleRuntime"]
 
 FULL = "full"
 DEGRADED = "degraded"
@@ -54,6 +62,83 @@ class EnsembleBatch:
     @property
     def degraded(self) -> bool:
         return bool(self.missing or self.quarantined)
+
+
+def _fit_gate(
+    members: list[str], val_stack: np.ndarray, val_labels: np.ndarray | None, seed: int
+) -> LogisticDecisionModule | None:
+    """The decision gate fitted on ``val``, or ``None`` when ORG did not
+    survive or the ``val`` labels are missing or disagree with the stack."""
+
+    if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
+        return None
+    gate = LogisticDecisionModule(seed=seed)
+    org_val = val_stack[members.index("ORG")]
+    return gate.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
+
+
+@dataclass
+class FittedEnsemble:
+    """One model's ensemble, assembled on both splits and fitted.
+
+    ``members`` are the survivors of *both* splits, in plan order, so the
+    feature layout is identical at fit and evaluation time.  The stacks are
+    resident in memory (backed by the artifact cache / shared-memory plane
+    underneath), so evaluating test samples is pure numpy.  The serving
+    gateway keeps one per (model, member subset) as its session.
+    """
+
+    model: str
+    members: list[str]
+    val_stack: np.ndarray  # (M, N_val, C)
+    test_stack: np.ndarray  # (M, N_test, C)
+    missing: list[str]
+    quarantined: dict[str, str]  # stem -> reason, over both splits
+    val_labels: np.ndarray | None
+    test_labels: np.ndarray | None
+    gate: LogisticDecisionModule | None  # see _fit_gate for when it is None
+    seed: int = 0
+
+    @property
+    def degraded(self) -> bool:
+        return bool(self.missing or self.quarantined)
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.test_stack.shape[1])
+
+    def restrict(self, members: list[str]) -> "FittedEnsemble":
+        """The same ensemble over ``members`` (a subset, in this ensemble's
+        order): stacks sliced, gate refitted on the narrower feature layout.
+        ``missing``/``quarantined`` still describe the assembly."""
+
+        rows = [self.members.index(s) for s in members]
+        val_stack = self.val_stack[rows]
+        return replace(
+            self,
+            members=list(members),
+            val_stack=val_stack,
+            test_stack=self.test_stack[rows],
+            gate=_fit_gate(list(members), val_stack, self.val_labels, self.seed),
+        )
+
+    def evaluate(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean probs, ensemble predictions, and gate flags for test samples ``indices``.
+
+        Per-sample math throughout (member-mean, argmax, features, logistic
+        predict with frozen standardisation stats), so evaluating a
+        concatenation and slicing equals evaluating each slice directly —
+        bit for bit.
+        """
+
+        sub = self.test_stack[:, indices, :]  # (M, k, C)
+        probs = sub.mean(axis=0)
+        predictions = probs.argmax(axis=1)
+        if self.gate is not None:
+            flags = self.gate.predict(ensemble_features(sub))
+        else:
+            flags = np.zeros(len(indices), dtype=np.int64)
+        return probs, predictions, flags
 
 
 @dataclass
@@ -97,13 +182,11 @@ class EnsembleRuntime:
         store: ArtifactStore,
         *,
         min_members: int = 2,
-        decision_factory=LogisticDecisionModule,
         seed: int = 0,
         breakers: BreakerBoard | None = None,
     ):
         self.store = store
         self.min_members = min_members
-        self.decision_factory = decision_factory
         self.seed = seed
         self.breakers = breakers
 
@@ -201,19 +284,53 @@ class EnsembleRuntime:
         if method == "mean":
             return batch.stacked.mean(axis=0).argmax(axis=1)
         if method == "vote":
-            votes = batch.stacked.argmax(axis=2)  # (M, N)
-            c = batch.stacked.shape[2]
-            return np.apply_along_axis(lambda col: np.bincount(col, minlength=c).argmax(), 0, votes)
+            return majority_vote(batch.stacked.argmax(axis=2), batch.stacked.shape[2])
         raise ValueError(f"unknown aggregation method: {method!r}")
+
+    # -- fitting ---------------------------------------------------------
+
+    def fit(self, model: str, members: list[str] | None = None) -> FittedEnsemble:
+        """Assemble both splits, intersect the survivors, stack, fit the gate.
+
+        Members are the intersection of the survivors on both splits so the
+        feature layout is identical at train and eval time; fewer than
+        ``min_members`` of them raises :class:`DegradedEnsemble`.  Never
+        ticks the breaker board.
+        """
+
+        plan = members if members is not None else self.member_plan(model)
+        val = self.assemble(model, "val", members=plan)
+        test = self.assemble(model, "test", members=plan)
+
+        common = [s for s in val.members if s in set(test.members)]
+        if len(common) < self.min_members:
+            raise DegradedEnsemble(model, common, self.min_members)
+        val_stack = np.stack([val.stacked[val.members.index(s)] for s in common], axis=0)
+        test_stack = np.stack([test.stacked[test.members.index(s)] for s in common], axis=0)
+
+        quarantined = {**val.quarantined, **test.quarantined}
+        missing = sorted(s for s in plan if s not in common and s not in quarantined)
+        val_labels = self.store.load_labels(model, "val")
+        return FittedEnsemble(
+            model=model,
+            members=common,
+            val_stack=val_stack,
+            test_stack=test_stack,
+            missing=missing,
+            quarantined=quarantined,
+            val_labels=val_labels,
+            test_labels=self.store.load_labels(model, "test"),
+            gate=_fit_gate(common, val_stack, val_labels, self.seed),
+            seed=self.seed,
+        )
 
     # -- end to end ------------------------------------------------------
 
     def run_model(self, model: str, *, members: list[str] | None = None, greedy: str | None = None) -> EnsembleResult:
         """Train the decision module on val, evaluate on test, for one model.
 
-        Members are the intersection of the survivors on both splits so the
-        feature layout is identical at train and eval time.  Returns
-        :class:`DegradedResult` whenever any planned member dropped out.
+        Returns :class:`DegradedResult` whenever any planned member dropped
+        out (see :meth:`fit` for how members are chosen).
 
         Each call advances the breaker board's trial clock by one tick, so
         open-breaker cool-downs are counted in trials, not wall-clock.
@@ -234,45 +351,32 @@ class EnsembleRuntime:
         if self.breakers is not None:
             self.breakers.tick()
         plan = members if members is not None else self.member_plan(model, greedy=greedy)
-        val = self.assemble(model, "val", members=plan)
-        test = self.assemble(model, "test", members=plan)
-
-        common = [s for s in val.members if s in set(test.members)]
-        if len(common) < self.min_members:
-            raise DegradedEnsemble(model, common, self.min_members)
-        val_stack = np.stack([val.stacked[val.members.index(s)] for s in common], axis=0)
-        test_stack = np.stack([test.stacked[test.members.index(s)] for s in common], axis=0)
-
-        quarantined = {**val.quarantined, **test.quarantined}
-        missing = sorted(s for s in plan if s not in common and s not in quarantined)
+        fitted = self.fit(model, members=plan)
+        test_stack = fitted.test_stack
 
         metrics = None
         flags = np.zeros(test_stack.shape[1], dtype=np.int64)
-        val_labels = self.store.load_labels(model, "val")
-        test_labels = self.store.load_labels(model, "test")
-        if val_labels is not None and "ORG" in common and len(val_labels) == val_stack.shape[1]:
-            module = self.decision_factory(seed=self.seed)
-            org_val = val_stack[common.index("ORG")]
-            module.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
+        if fitted.gate is not None:
             test_features = ensemble_features(test_stack)
-            flags = module.predict(test_features)
+            flags = fitted.gate.predict(test_features)
+            test_labels = fitted.test_labels
             if test_labels is not None and len(test_labels) == test_stack.shape[1]:
-                org_test = test_stack[common.index("ORG")]
-                metrics = module.evaluate(test_features, misprediction_targets(org_test, test_labels))
+                org_test = test_stack[fitted.members.index("ORG")]
+                metrics = fitted.gate.evaluate(test_features, misprediction_targets(org_test, test_labels))
 
-        batch = EnsembleBatch(model=model, split="test", members=common, stacked=test_stack)
+        batch = EnsembleBatch(model=model, split="test", members=fitted.members, stacked=test_stack)
         predictions = self.aggregate(batch)
         breaker_states = self.breakers.states_for(model) if self.breakers is not None else {}
-        cls = DegradedResult if (missing or quarantined) else EnsembleResult
+        cls = DegradedResult if fitted.degraded else EnsembleResult
         return cls(
             model=model,
             status=FULL,
-            members=common,
+            members=fitted.members,
             predictions=predictions,
             flags=flags,
             metrics=metrics,
-            missing=missing,
-            quarantined=quarantined,
+            missing=fitted.missing,
+            quarantined=fitted.quarantined,
             breakers=breaker_states,
         )
 

@@ -16,6 +16,15 @@ Three families of injectors, all seeded and reproducible:
 * **Artifact-level** — byte truncation and header damage applied to copies
   of ``.npz`` files, used to exercise the store's quarantine path.
 
+Every tensor kernel here (:func:`apply_fault`, :func:`sanitize_probs`, and
+``FaultSpec.apply_batch``) has one implementation over a leading batch axis
+whose rows are independent; a single tensor is a batch of one.  A
+degradation measurement fits the ensemble once through
+:meth:`EnsembleRuntime.fit <polygraphmr.ensemble.EnsembleRuntime.fit>`
+(:func:`prepare_degradation`) and scores faults against it with
+:func:`degradation_reports` — one fault per campaign trial, or a whole
+group of same-identity faults in the batch engine.
+
 Run ``python -m polygraphmr.faults --help`` for the measurement CLI.
 """
 
@@ -31,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
-from .decision import LogisticDecisionModule, ensemble_features, misprediction_targets
-from .ensemble import EnsembleRuntime
+from .decision import DetectionMetrics, ensemble_features, misprediction_targets
+from .ensemble import EnsembleRuntime, FittedEnsemble
 from .errors import ConfigError
 from .metrics import get_registry
 from .store import ArtifactStore
@@ -43,9 +52,7 @@ __all__ = [
     "FAULT_SPEC_KINDS",
     "FaultSpec",
     "select_fault_indices",
-    "select_fault_indices_batch",
     "apply_fault",
-    "apply_fault_batch",
     "inject_bitflips",
     "inject_bitflips_channel",
     "inject_bitflips_element",
@@ -53,13 +60,12 @@ __all__ = [
     "inject_quantize",
     "inject_stuck_at",
     "sanitize_probs",
-    "sanitize_probs_batch",
     "corrupt_file_truncate",
     "corrupt_file_header",
     "DegradationContext",
     "prepare_degradation",
     "degradation_payload",
-    "degradation_report",
+    "degradation_reports",
     "measure_degradation",
     "main",
 ]
@@ -106,37 +112,27 @@ class FaultSpec:
         _require_number("fault.sigma", self.sigma, low=0.0)
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        if self.kind == "bitflip":
-            return inject_bitflips(arr, rate=self.rate, rng=rng)
-        return inject_gaussian(arr, sigma=self.sigma, rng=rng)
+        return self.apply_batch(np.asarray(arr)[None])[0]
 
     def apply_batch(self, stacked: np.ndarray, *, seeds=None) -> np.ndarray:
-        """Batched :meth:`apply`: ``out[b]`` is bit-identical to
-        ``FaultSpec(..., seed=seeds[b]).apply(stacked[b])``.  ``seeds``
-        defaults to ``self.seed`` for every batch slice (the per-member
-        tiling of one trial); the input is never mutated."""
+        """Fault every row ``stacked[b]`` with the draws of seed ``seeds[b]``.
+
+        ``seeds`` defaults to ``self.seed`` for every row (the per-member
+        tiling of one trial).  Rows are independent: ``out[b]`` equals
+        ``FaultSpec(..., seed=seeds[b]).apply(stacked[b])``.  The input is
+        never mutated."""
 
         stacked = np.asarray(stacked)
         if stacked.ndim < 2:
             raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stacked.shape}")
         seeds = _batch_seeds(self.seed, stacked.shape[0], seeds)
         if self.kind == "bitflip":
-            # inject_bitflips draws the same (choice, integers) stream as the
-            # tensor-surface bitflip path, including the no-draw early return
-            # when the rate rounds to zero hits
-            return apply_fault_batch(stacked, surface="tensor", kind="bitflip", rate=self.rate, seeds=seeds)
-        # inject_gaussian adds noise to the *whole* tensor (no index
-        # selection), so it gets its own full-tensor batched path
-        out = np.asarray(stacked, dtype=np.float64).copy()
-        noise_for: dict[int, np.ndarray] = {}
-        for b, seed in enumerate(seeds):
-            noise = noise_for.get(seed)
-            if noise is None:
-                rng = np.random.default_rng(seed)
-                noise = noise_for[seed] = rng.normal(0.0, self.sigma, size=out.shape[1:])
-            out[b] += noise
-        return out
+            return apply_fault(stacked, surface="tensor", kind="bitflip", rate=self.rate, seeds=seeds)
+        # gaussian noise covers the *whole* tensor (no index selection), so it
+        # is not a surface of apply_fault; it is drawn once per unique seed
+        shape = stacked.shape[1:]
+        noise = {seed: np.random.default_rng(seed).normal(0.0, self.sigma, size=shape) for seed in set(seeds)}
+        return np.asarray(stacked, dtype=np.float64) + np.stack([noise[seed] for seed in seeds])
 
     def describe(self) -> dict:
         """The journalled ``fault`` stanza of a degradation report."""
@@ -153,16 +149,7 @@ def inject_bitflips(arr: np.ndarray, *, rate: float, rng: np.random.Generator) -
     injection literature.
     """
 
-    out = np.ascontiguousarray(arr, dtype=np.float32).copy()
-    flat = out.reshape(-1)
-    n_hit = int(round(rate * flat.size))
-    if n_hit == 0:
-        return out.reshape(arr.shape)
-    idx = rng.choice(flat.size, size=n_hit, replace=False)
-    bits = rng.integers(0, 32, size=n_hit, dtype=np.uint32)
-    view = flat.view(np.uint32)
-    view[idx] ^= (np.uint32(1) << bits)
-    return out.reshape(arr.shape)
+    return apply_fault(arr, surface="tensor", kind="bitflip", rate=rate, rng=rng)
 
 
 def inject_gaussian(arr: np.ndarray, *, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -223,33 +210,6 @@ def _batch_seeds(default: int, n: int, seeds) -> list[int]:
     return seeds
 
 
-def select_fault_indices_batch(
-    shape: tuple[int, ...], surface: str, *, rate: float = 0.0, count: int = 0, seeds
-) -> np.ndarray:
-    """Per-trial fault selections for a batch, one row per seed.
-
-    Row ``b`` equals ``select_fault_indices(shape, surface, ...,
-    rng=np.random.default_rng(seeds[b]))`` exactly — each seed gets its own
-    independent ``Generator`` stream so the draws replay the serial ones
-    bit-for-bit.  The row width is uniform across the batch because the
-    selection *count* is a pure function of ``(shape, surface, rate/count)``;
-    draws are memoized per unique seed, so the per-member tiling of one
-    trial (every member shares the trial's fault seed) draws only once.
-    """
-
-    rows: dict[int, np.ndarray] = {}
-    out = []
-    for seed in (int(s) for s in seeds):
-        row = rows.get(seed)
-        if row is None:
-            rng = np.random.default_rng(seed)
-            row = rows[seed] = select_fault_indices(shape, surface, rate=rate, count=count, rng=rng)
-        out.append(row)
-    if not out:
-        return np.empty((0, 0), dtype=np.int64)
-    return np.stack(out, axis=0)
-
-
 def apply_fault(
     arr: np.ndarray,
     *,
@@ -259,7 +219,8 @@ def apply_fault(
     sigma: float = 0.0,
     step: float = 0.0,
     count: int = 0,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
+    seeds=None,
 ) -> np.ndarray:
     """One surface × fault-model injection; returns a new array, the input
     is never mutated.
@@ -270,104 +231,60 @@ def apply_fault(
     perturbation, e.g. ``step=1/16`` ≈ 4-bit cells); ``stuck0``/``stuck1``
     clamp them to 0.0 / 1.0.  The surface decides *which* elements those
     are (:func:`select_fault_indices`).
+
+    Pass ``rng`` to fault ``arr`` as one tensor with that generator's draws,
+    or ``seeds`` to fault every row ``arr[b]`` of a leading batch axis with
+    the draws of ``np.random.default_rng(seeds[b])``.  Rows are independent:
+    ``out[b]`` equals ``apply_fault(arr[b], ..., rng=default_rng(seeds[b]))``.
+    The draws replay each generator's stream (selection, then bit positions
+    or noise values), once per *unique* seed, so the per-member tiling of
+    one trial draws once; the element mutations run as one vectorized
+    operation over the batch.
     """
 
-    if kind == "bitflip":
-        out = np.ascontiguousarray(arr, dtype=np.float32).copy()
-    else:
-        out = np.asarray(arr, dtype=np.float64).copy()
-    idx = select_fault_indices(out.shape, surface, rate=rate, count=count, rng=rng)
-    if idx.size == 0:
-        return out
-    flat = out.reshape(-1)
-    if kind == "bitflip":
-        bits = rng.integers(0, 32, size=idx.size, dtype=np.uint32)
-        flat.view(np.uint32)[idx] ^= np.uint32(1) << bits
-    elif kind == "gaussian":
-        flat[idx] += rng.normal(0.0, sigma, size=idx.size)
-    elif kind == "quantize":
-        flat[idx] = np.round(flat[idx] / step) * step
-    elif kind == "stuck0":
-        flat[idx] = 0.0
-    elif kind == "stuck1":
-        flat[idx] = 1.0
-    else:
+    if kind not in FAULT_MODELS:
         raise ConfigError("scenario.kind", "unknown-kind", f"got {kind!r}; known kinds: {', '.join(FAULT_MODELS)}")
-    return out
-
-
-def apply_fault_batch(
-    stacked: np.ndarray,
-    *,
-    surface: str,
-    kind: str,
-    rate: float = 0.0,
-    sigma: float = 0.0,
-    step: float = 0.0,
-    count: int = 0,
-    seeds,
-) -> np.ndarray:
-    """:func:`apply_fault` with a leading batch axis; the input is never
-    mutated.
-
-    ``out[b]`` is bit-identical to ``apply_fault(stacked[b], ...,
-    rng=np.random.default_rng(seeds[b]))``.  The random draws (index
-    selection plus bit positions / noise values) must replay each seed's
-    serial ``Generator`` stream, so those stay per-seed — memoized per
-    *unique* seed, which makes the per-member tiling of one trial draw
-    once, not once per member — while the dtype conversion and the element
-    mutations run as single vectorized operations across the whole batch.
-    """
-
-    stacked = np.asarray(stacked)
-    if stacked.ndim < 2:
-        raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stacked.shape}")
-    n_batch = stacked.shape[0]
-    seeds = _batch_seeds(0, n_batch, seeds)
-    if kind == "bitflip":
-        out = np.ascontiguousarray(stacked, dtype=np.float32).copy()
-    elif kind in ("gaussian", "quantize", "stuck0", "stuck1"):
-        out = np.asarray(stacked, dtype=np.float64).copy()
+    if (rng is None) == (seeds is None):
+        raise TypeError("apply_fault needs exactly one of rng= (one tensor) or seeds= (one per row)")
+    out = np.array(arr, dtype=np.float32 if kind == "bitflip" else np.float64, order="C")
+    if rng is not None:  # one tensor: a batch of one that draws from rng
+        rows, keys = out[None], [None]
     else:
-        raise ConfigError("scenario.kind", "unknown-kind", f"got {kind!r}; known kinds: {', '.join(FAULT_MODELS)}")
-    if n_batch == 0 or out[0].size == 0:
+        if out.ndim < 2:
+            raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {out.shape}")
+        rows, keys = out, _batch_seeds(0, out.shape[0], seeds)
+    flat = rows.reshape(rows.shape[0], -1)
+    if flat.size == 0:
         return out
 
-    # replay each unique seed's serial draw sequence: selection first, then
-    # the value draws, in exactly the order apply_fault makes them
-    draws: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    for seed in seeds:
-        if seed in draws:
+    draws: dict = {}
+    for key in keys:
+        if key in draws:
             continue
-        rng = np.random.default_rng(seed)
-        idx = select_fault_indices(out.shape[1:], surface, rate=rate, count=count, rng=rng)
-        vals: np.ndarray | None = None
-        if idx.size:
-            if kind == "bitflip":
-                vals = rng.integers(0, 32, size=idx.size, dtype=np.uint32)
-            elif kind == "gaussian":
-                vals = rng.normal(0.0, sigma, size=idx.size)
-        draws[seed] = (idx, vals)
-
-    if not draws[seeds[0]][0].size:
-        # selection count is shape-determined, so it is empty for every seed
+        gen = rng if key is None else np.random.default_rng(key)
+        idx = select_fault_indices(rows.shape[1:], surface, rate=rate, count=count, rng=gen)
+        values = None
+        if idx.size and kind == "bitflip":
+            values = gen.integers(0, 32, size=idx.size, dtype=np.uint32)
+        elif idx.size and kind == "gaussian":
+            values = gen.normal(0.0, sigma, size=idx.size)
+        draws[key] = (idx, values)
+    # the selection count is shape-determined, so every row has the same width
+    idx = np.stack([draws[key][0] for key in keys], axis=0)
+    if not idx.size:
         return out
 
-    flat = out.reshape(n_batch, -1)
-    idx_all = np.stack([draws[s][0] for s in seeds], axis=0)
-    batch_rows = np.arange(n_batch)[:, None]
+    row = np.arange(flat.shape[0])[:, None]
     if kind == "bitflip":
-        bits_all = np.stack([draws[s][1] for s in seeds], axis=0)
-        flat.view(np.uint32)[batch_rows, idx_all] ^= np.uint32(1) << bits_all
+        flat.view(np.uint32)[row, idx] ^= np.uint32(1) << np.stack([draws[key][1] for key in keys], axis=0)
     elif kind == "gaussian":
-        noise_all = np.stack([draws[s][1] for s in seeds], axis=0)
-        flat[batch_rows, idx_all] += noise_all
+        flat[row, idx] += np.stack([draws[key][1] for key in keys], axis=0)
     elif kind == "quantize":
-        flat[batch_rows, idx_all] = np.round(flat[batch_rows, idx_all] / step) * step
+        flat[row, idx] = np.round(flat[row, idx] / step) * step
     elif kind == "stuck0":
-        flat[batch_rows, idx_all] = 0.0
+        flat[row, idx] = 0.0
     else:
-        flat[batch_rows, idx_all] = 1.0
+        flat[row, idx] = 1.0
     return out
 
 
@@ -404,25 +321,13 @@ def inject_stuck_at(arr: np.ndarray, *, rate: float, value: int, rng: np.random.
 
 
 def sanitize_probs(arr: np.ndarray) -> np.ndarray:
-    """Repair a faulted probability matrix so downstream code keeps running:
-    non-finite → 0, clip to [0, 1], renormalise rows (uniform if a row dies)."""
+    """Repair faulted probability rows so downstream code keeps running:
+    non-finite → 0, clip to [0, 1], renormalise each last-axis row
+    (uniform if a row dies).
 
-    out = np.asarray(arr, dtype=np.float64).copy()
-    out[~np.isfinite(out)] = 0.0
-    np.clip(out, 0.0, 1.0, out=out)
-    sums = out.sum(axis=1, keepdims=True)
-    dead = sums.reshape(-1) <= 0.0
-    out[dead] = 1.0 / out.shape[1]
-    sums[dead.reshape(-1)] = 1.0
-    return out / sums
-
-
-def sanitize_probs_batch(arr: np.ndarray) -> np.ndarray:
-    """:func:`sanitize_probs` over any number of leading batch axes.
-
-    Rows live on the *last* axis, so for a stack of probability matrices
-    ``out[b] == sanitize_probs(arr[b])`` bit-for-bit (the clip, the dead-row
-    uniform fill, and the renormalising divide are all elementwise)."""
+    Leading axes are batch axes: the clip, the dead-row uniform fill, and
+    the renormalising divide are all per row, so for a stack of probability
+    matrices ``out[b] == sanitize_probs(arr[b])`` bit for bit."""
 
     out = np.asarray(arr, dtype=np.float64).copy()
     out[~np.isfinite(out)] = 0.0
@@ -464,23 +369,18 @@ def corrupt_file_header(src: str | Path, dst: str | Path, *, n_bytes: int = 4, s
 
 @dataclass
 class DegradationContext:
-    """The fault-independent half of a degradation measurement: assembled
-    test stack, fitted decision module, and clean-split metrics for one
-    model.  Prepared once and shared across every fault evaluated against
-    the same (model, breaker-steady) state — the batch kernel's amortized
-    work; :func:`degradation_report` supplies the per-fault half."""
+    """The fault-independent half of a degradation measurement: the fitted
+    ensemble plus its clean-split features, targets, flags and metrics.
+    Prepared once and shared across every fault evaluated against the same
+    (model, breaker-steady) state — the batch engine's amortized work;
+    :func:`degradation_reports` supplies the per-fault half."""
 
-    model: str
-    members: list[str]
-    degraded: bool
-    module: LogisticDecisionModule
+    fitted: FittedEnsemble
     org_i: int
-    test_labels: np.ndarray
-    test_stack: np.ndarray
     clean_features: np.ndarray
     clean_targets: np.ndarray
     clean_flags: np.ndarray
-    clean: "object"
+    clean: DetectionMetrics
 
 
 def prepare_degradation(
@@ -490,49 +390,37 @@ def prepare_degradation(
     members: list[str] | None = None,
     seed: int = 0,
     runtime: EnsembleRuntime | None = None,
-    tick: bool = True,
 ) -> DegradationContext:
-    """Assemble, fit, and measure the clean baseline for one model.
+    """Fit the ensemble and measure the clean baseline for one model.
 
-    ``tick=False`` skips the breaker-board tick — the batch kernel ticks
-    once per *trial* itself, so its one shared context prep must not
-    advance the board.
+    Never ticks the breaker board: :func:`measure_degradation` ticks once
+    per trial, and the batch engine ticks once per trial it emits.
     """
 
     if runtime is None:
         runtime = EnsembleRuntime(store, seed=seed)
-    if tick and runtime.breakers is not None:
-        runtime.breakers.tick()
-    plan = members if members is not None else runtime.member_plan(model)
-    val = runtime.assemble(model, "val", members=plan)
-    test = runtime.assemble(model, "test", members=plan)
-    common = [s for s in val.members if s in set(test.members)]
-    if "ORG" not in common:
+    fitted = runtime.fit(model, members=members)
+    if "ORG" not in fitted.members:
         raise ValueError(f"model {model!r}: ORG did not survive validation; cannot define targets")
-    val_stack = np.stack([val.stacked[val.members.index(s)] for s in common], axis=0)
-    test_stack = np.stack([test.stacked[test.members.index(s)] for s in common], axis=0)
-
-    val_labels = store.load_labels(model, "val")
-    test_labels = store.load_labels(model, "test")
-    if val_labels is None or test_labels is None:
+    if fitted.val_labels is None or fitted.test_labels is None:
         raise ValueError(f"model {model!r}: labels required to measure detection quality")
+    if fitted.gate is None:
+        # ORG and both label sets are present, so the val labels disagree
+        # with the stack in length; keep the error the gate fit has always
+        # journalled for such a model
+        raise ValueError(
+            "operands could not be broadcast together with shapes "
+            f"({fitted.val_stack.shape[1]},) ({len(fitted.val_labels)},) "
+        )
 
-    module = LogisticDecisionModule(seed=seed)
-    org_i = common.index("ORG")
-    module.fit(ensemble_features(val_stack), misprediction_targets(val_stack[org_i], val_labels))
-
-    clean_features = ensemble_features(test_stack)
-    clean_targets = misprediction_targets(test_stack[org_i], test_labels)
-    clean_flags = module.predict(clean_features)
-    clean = module.evaluate(clean_features, clean_targets)
+    org_i = fitted.members.index("ORG")
+    clean_features = ensemble_features(fitted.test_stack)
+    clean_targets = misprediction_targets(fitted.test_stack[org_i], fitted.test_labels)
+    clean_flags = fitted.gate.predict(clean_features)
+    clean = fitted.gate.evaluate(clean_features, clean_targets)
     return DegradationContext(
-        model=model,
-        members=common,
-        degraded=bool(val.degraded or test.degraded),
-        module=module,
+        fitted=fitted,
         org_i=org_i,
-        test_labels=test_labels,
-        test_stack=test_stack,
         clean_features=clean_features,
         clean_targets=clean_targets,
         clean_flags=clean_flags,
@@ -541,15 +429,12 @@ def prepare_degradation(
 
 
 def degradation_payload(ctx: DegradationContext, spec, faulted, faulted_flags: np.ndarray) -> dict:
-    """The journalled report dict for one fault against a prepared context.
-
-    Shared by the serial path and the batch kernel so both emit the same
-    bytes for the same metric values."""
+    """The journalled report dict for one fault against a prepared context."""
 
     return {
-        "model": ctx.model,
-        "members": ctx.members,
-        "degraded": ctx.degraded,
+        "model": ctx.fitted.model,
+        "members": ctx.fitted.members,
+        "degraded": ctx.fitted.degraded,
         "fault": spec.describe(),
         "clean": ctx.clean.to_dict(),
         "faulted": faulted.to_dict(),
@@ -566,27 +451,47 @@ def degradation_payload(ctx: DegradationContext, spec, faulted, faulted_flags: n
     }
 
 
-def degradation_report(ctx: DegradationContext, spec) -> dict:
-    """Evaluate one fault spec against a prepared context (serial path)."""
+def degradation_reports(ctx: DegradationContext, faults: list) -> list[dict]:
+    """Reports for same-identity faults against one prepared context, in order.
 
-    module = ctx.module
-    if getattr(spec, "target", "probs") == "weights":
-        pristine = module.w
+    ``faults`` share one scenario (or one legacy kind/rate/sigma) and differ
+    only in their seeds; a single trial passes a list of one.  Probability
+    faults run as stacked tensor ops over every (fault, member) pair: each
+    member of fault ``b`` is faulted with fault ``b``'s seed, sanitised,
+    featurised, and scored by the gate.
+    """
+
+    gate = ctx.fitted.gate
+    if getattr(faults[0], "target", "probs") == "weights":
+        # the faulted surface is the gate's own weight vector — tiny, so
+        # batching buys nothing; the fit is still shared
+        out = []
+        pristine = gate.w
         try:
-            module.w = np.asarray(spec.apply(pristine), dtype=np.float64)
-            faulted_flags = module.predict(ctx.clean_features)
-            faulted = module.evaluate(ctx.clean_features, ctx.clean_targets)
+            for fault in faults:
+                gate.w = np.asarray(fault.apply(pristine), dtype=np.float64)
+                faulted_flags = gate.predict(ctx.clean_features)
+                faulted = gate.evaluate(ctx.clean_features, ctx.clean_targets)
+                out.append(degradation_payload(ctx, fault, faulted, faulted_flags))
         finally:
-            module.w = pristine
-    else:
-        faulted_stack = np.stack(
-            [sanitize_probs(spec.apply(ctx.test_stack[i])) for i in range(len(ctx.members))], axis=0
-        )
-        faulted_features = ensemble_features(faulted_stack)
-        faulted_targets = misprediction_targets(faulted_stack[ctx.org_i], ctx.test_labels)
-        faulted_flags = module.predict(faulted_features)
-        faulted = module.evaluate(faulted_features, faulted_targets)
-    return degradation_payload(ctx, spec, faulted, faulted_flags)
+            gate.w = pristine
+        return out
+
+    stack = ctx.fitted.test_stack
+    n_members, inner = stack.shape[0], stack.shape[1:]
+    # tile the clean test stack across the faults: (B*M, N, C)
+    tiled = np.broadcast_to(stack, (len(faults),) + stack.shape).reshape((-1,) + inner)
+    seeds = np.repeat([fault.seed for fault in faults], n_members)
+    faulted_stacks = faults[0].apply_batch(tiled, seeds=seeds)
+    faulted_stacks = sanitize_probs(faulted_stacks).reshape((len(faults), n_members) + inner)
+    features = ensemble_features(faulted_stacks)
+    out = []
+    for b, fault in enumerate(faults):
+        faulted_targets = misprediction_targets(faulted_stacks[b, ctx.org_i], ctx.fitted.test_labels)
+        faulted_flags = gate.predict(features[b])
+        faulted = gate.evaluate(features[b], faulted_targets)
+        out.append(degradation_payload(ctx, fault, faulted, faulted_flags))
+    return out
 
 
 def measure_degradation(
@@ -601,8 +506,9 @@ def measure_degradation(
     """Clean-vs-faulted misprediction-detection metrics for one model.
 
     ``spec`` is any seeded fault — a :class:`FaultSpec` or a
-    :class:`polygraphmr.scenarios.ScenarioFault`; it needs ``apply(arr)``,
-    ``describe()``, and (optionally) a ``target`` attribute.
+    :class:`polygraphmr.scenarios.ScenarioFault`; it needs ``seed``,
+    ``apply(arr)``, ``apply_batch(stacked, seeds=...)``, ``describe()``, and
+    (optionally) a ``target`` attribute.
 
     Trains the decision module on clean ``val`` data, then evaluates on the
     clean ``test`` split and on a faulted copy.  For ``target="probs"``
@@ -614,11 +520,16 @@ def measure_degradation(
 
     Pass ``runtime`` to reuse one :class:`EnsembleRuntime` across many
     calls — the campaign runner does this so its circuit-breaker board
-    accumulates state over trials instead of resetting every time.
+    accumulates state over trials instead of resetting every time.  Each
+    call ticks that board once.
     """
 
+    if runtime is None:
+        runtime = EnsembleRuntime(store, seed=seed)
+    if runtime.breakers is not None:
+        runtime.breakers.tick()
     ctx = prepare_degradation(store, model, members=members, seed=seed, runtime=runtime)
-    return degradation_report(ctx, spec)
+    return degradation_reports(ctx, [spec])[0]
 
 
 # -- synthetic demo cache (the seed cache has zero valid artifacts) --------

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..faults import FAULT_MODELS, SURFACES, _require_number, apply_fault, apply_fault_batch
+from ..faults import FAULT_MODELS, SURFACES, _require_number, apply_fault
 from ..journal import canonical_json, sha256_hex
 
 try:
@@ -166,8 +166,9 @@ class Scenario:
 @dataclass(frozen=True)
 class ScenarioFault:
     """A scenario bound to one trial's seed — the duck-typed fault object
-    :func:`polygraphmr.faults.measure_degradation` consumes (``apply`` /
-    ``describe`` / ``target``), mirroring :class:`polygraphmr.faults.FaultSpec`."""
+    :func:`polygraphmr.faults.measure_degradation` consumes (``seed`` /
+    ``apply`` / ``apply_batch`` / ``describe`` / ``target``), mirroring
+    :class:`polygraphmr.faults.FaultSpec`."""
 
     scenario: Scenario
     seed: int = 0
@@ -177,23 +178,19 @@ class ScenarioFault:
         return self.scenario.target
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        s = self.scenario
-        return apply_fault(
-            arr, surface=s.surface, kind=s.kind, rate=s.rate, sigma=s.sigma, step=s.step, count=s.count, rng=rng
-        )
+        return self.apply_batch(np.asarray(arr)[None])[0]
 
     def apply_batch(self, stacked: np.ndarray, *, seeds=None) -> np.ndarray:
-        """Batched :meth:`apply`: ``out[b]`` is bit-identical to
-        ``self.scenario.fault(seeds[b]).apply(stacked[b])``.  ``seeds``
-        defaults to this fault's seed for every slice; the input is never
-        mutated."""
+        """Fault every row ``stacked[b]`` with the draws of seed ``seeds[b]``
+        (default: this fault's seed for every row).  Rows are independent:
+        ``out[b]`` equals ``self.scenario.fault(seeds[b]).apply(stacked[b])``.
+        The input is never mutated."""
 
         s = self.scenario
         stacked = np.asarray(stacked)
         if seeds is None:
             seeds = [self.seed] * stacked.shape[0]
-        return apply_fault_batch(
+        return apply_fault(
             stacked,
             surface=s.surface,
             kind=s.kind,

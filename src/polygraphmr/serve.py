@@ -4,11 +4,13 @@ The batch campaign machinery answers "how reliable is this ensemble?";
 this module answers requests.  A :class:`ServeGateway` accepts concurrent
 classification requests over a newline-delimited-JSON protocol (TCP and/or
 Unix socket), coalesces them into micro-batches, and executes each batch
-through the same ensemble-runtime math the campaigns use — assemble a
-stacked probability tensor, aggregate, run the decision module — served out
-of a warm, verified-once :class:`~polygraphmr.cache.ArtifactCache`
-(optionally backed by a pre-published
-:class:`~polygraphmr.cache.SharedMemoryPlane`).
+against a warm session served out of a verified-once
+:class:`~polygraphmr.cache.ArtifactCache` (optionally backed by a
+pre-published :class:`~polygraphmr.cache.SharedMemoryPlane`).  A session
+(:data:`ModelSession`) is the runtime's
+:class:`~polygraphmr.ensemble.FittedEnsemble`, built by the same
+:meth:`EnsembleRuntime.fit <polygraphmr.ensemble.EnsembleRuntime.fit>` the
+campaigns use; a shed member subset is its ``restrict``-ed copy.
 
 **Protocol.**  One JSON object per ``\\n``-terminated line, at most
 ``MAX_FRAME_BYTES`` per frame::
@@ -86,8 +88,7 @@ import numpy as np
 
 from .breaker import BreakerBoard, BreakerPolicy
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, SharedMemoryPlane
-from .decision import LogisticDecisionModule, ensemble_features, misprediction_targets
-from .ensemble import EnsembleRuntime
+from .ensemble import EnsembleRuntime, FittedEnsemble
 from .errors import ConfigError, DegradedEnsemble, RetryPolicy, ServeError
 from .metrics import BATCH_SIZE_BUCKETS, MetricsRegistry, get_registry, set_registry
 from .store import ArtifactStore
@@ -316,49 +317,9 @@ def flat_sample_indices(requests: list[ServeRequest]) -> np.ndarray:
     return np.array([idx for r in requests for idx in r.samples], dtype=np.int64)
 
 
-@dataclass
-class ModelSession:
-    """Warm, fitted serving state for one (model, member-subset) pair.
-
-    Assembled once — stacks live in memory (backed by the artifact cache /
-    shared-memory plane underneath), the decision module is fitted on the
-    ``val`` split exactly as the campaign runtime fits it — then every
-    request against this member set is pure numpy on the resident tensors.
-    """
-
-    model: str
-    members: list[str]
-    val_stack: np.ndarray  # (M, N_val, C)
-    test_stack: np.ndarray  # (M, N_test, C)
-    module: LogisticDecisionModule | None
-    missing: list[str]
-    quarantined: dict[str, str]
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.test_stack.shape[1])
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.test_stack.shape[2])
-
-    def evaluate(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mean probs, ensemble predictions, and decision flags for ``indices``.
-
-        Per-sample math throughout (member-mean, argmax, features, logistic
-        predict with frozen standardisation stats), so evaluating a
-        concatenation and slicing equals evaluating each slice directly —
-        bit for bit.
-        """
-
-        sub = self.test_stack[:, indices, :]  # (M, k, C)
-        probs = sub.mean(axis=0)
-        predictions = probs.argmax(axis=1)
-        if self.module is not None:
-            flags = self.module.predict(ensemble_features(sub))
-        else:
-            flags = np.zeros(len(indices), dtype=np.int64)
-        return probs, predictions, flags
+# The gateway's warm, fitted serving state for one (model, member subset):
+# the runtime's fitted ensemble itself, evaluated per request batch.
+ModelSession = FittedEnsemble
 
 
 class PolygraphService:
@@ -379,11 +340,9 @@ class PolygraphService:
         breakers: BreakerBoard | None = None,
     ):
         self.store = store
-        self.min_members = min_members
         # members beyond the first ``keep_members`` are sheddable under load;
         # ORG and enough companions to stay above min_members never shed
         self.keep_members = max(min_members, keep_members if keep_members is not None else min_members)
-        self.seed = seed
         self.board = breakers if breakers is not None else BreakerBoard(BreakerPolicy())
         self.runtime = EnsembleRuntime(store, min_members=min_members, seed=seed, breakers=self.board)
         self._base: dict[str, ModelSession] = {}
@@ -393,78 +352,35 @@ class PolygraphService:
     # -- sessions --------------------------------------------------------
 
     def base_session(self, model: str) -> ModelSession:
-        """The full-ensemble session for ``model``, built on first use.
-
-        Mirrors ``EnsembleRuntime._run_model_inner``'s assembly: members are
-        the intersection of the val/test survivors so the feature layout is
-        identical at fit and serve time; corrupt members quarantine (and
-        feed their breakers) rather than crash.
-        """
+        """The full-ensemble session for ``model``, built on first use by
+        :meth:`EnsembleRuntime.fit <polygraphmr.ensemble.EnsembleRuntime.fit>`
+        — the same assemble → intersect → fit the campaigns use; corrupt
+        members quarantine (and feed their breakers) rather than crash."""
 
         session = self._base.get(model)
         if session is not None:
             return session
         if not self.store.model_dir(model).is_dir():
             raise ServeError("unknown-model", f"no model directory {model!r} in {self.store.root}")
-        plan = self.runtime.member_plan(model)
-        val = self.runtime.assemble(model, "val", members=plan)
-        test = self.runtime.assemble(model, "test", members=plan)
-        common = [s for s in val.members if s in set(test.members)]
-        if len(common) < self.min_members:
-            raise DegradedEnsemble(model, common, self.min_members)
-        val_stack = np.stack([val.stacked[val.members.index(s)] for s in common], axis=0)
-        test_stack = np.stack([test.stacked[test.members.index(s)] for s in common], axis=0)
-        quarantined = {**val.quarantined, **test.quarantined}
-        missing = sorted(s for s in plan if s not in common and s not in quarantined)
-        session = ModelSession(
-            model=model,
-            members=common,
-            val_stack=val_stack,
-            test_stack=test_stack,
-            module=self._fit(model, common, val_stack),
-            missing=missing,
-            quarantined=quarantined,
-        )
-        self._base[model] = session
+        session = self._base[model] = self.runtime.fit(model)
         get_registry().counter("serve_sessions_built_total", kind="base").inc()
         return session
 
-    def _fit(self, model: str, members: list[str], val_stack: np.ndarray) -> LogisticDecisionModule | None:
-        val_labels = self.store.load_labels(model, "val")
-        if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
-            return None
-        module = LogisticDecisionModule(seed=self.seed)
-        org_val = val_stack[members.index("ORG")]
-        module.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
-        return module
-
     def session_for(self, model: str, members: tuple[str, ...]) -> ModelSession:
         """A session restricted to ``members`` (a subset of the base session's,
-        in base order) — derived by slicing the resident stacks and refitting
-        the decision module on the narrower feature layout.  Cached: the
-        shed/recover cycle alternates between a handful of subsets."""
+        in base order) — :meth:`~polygraphmr.ensemble.FittedEnsemble.restrict`
+        slices the resident stacks and refits the gate on the narrower
+        feature layout.  Cached: the shed/recover cycle alternates between a
+        handful of subsets."""
 
         base = self.base_session(model)
         if list(members) == base.members:
             return base
         key = (model, members)
         session = self._derived.get(key)
-        if session is not None:
-            return session
-        rows = [base.members.index(s) for s in members]
-        val_stack = base.val_stack[rows]
-        test_stack = base.test_stack[rows]
-        session = ModelSession(
-            model=model,
-            members=list(members),
-            val_stack=val_stack,
-            test_stack=test_stack,
-            module=self._fit(model, list(members), val_stack),
-            missing=base.missing,
-            quarantined=base.quarantined,
-        )
-        self._derived[key] = session
-        get_registry().counter("serve_sessions_built_total", kind="derived").inc()
+        if session is None:
+            session = self._derived[key] = base.restrict(list(members))
+            get_registry().counter("serve_sessions_built_total", kind="derived").inc()
         return session
 
     # -- breaker-driven member selection ---------------------------------

@@ -110,3 +110,16 @@ def seed_store() -> ArtifactStore:
     if not SEED_CACHE.is_dir():
         pytest.skip("seed .repro_cache not present")
     return ArtifactStore(SEED_CACHE)
+
+
+@pytest.fixture()
+def write_labels():
+    """Factory writing a raw labels npz — for tests that need labels the
+    stack disagrees with."""
+
+    def write(path: Path, labels: np.ndarray) -> Path:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez(path, labels=labels)
+        return path
+
+    return write

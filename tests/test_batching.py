@@ -2,8 +2,8 @@
 detail, so every campaign artifact — journal bytes, chain links, checkpoint —
 must be byte-identical to the serial per-trial loop's, across scenario
 sweeps, timeouts, tripping breakers, kills, and worker × batch-size combos.
-Plus hypothesis properties pinning the vectorized injectors to their serial
-counterparts element-for-element."""
+Plus hypothesis properties that every kernel's rows are independent: row
+``b`` of a batch equals the kernel run on that row alone with ``seeds[b]``."""
 
 from __future__ import annotations
 
@@ -28,18 +28,15 @@ from polygraphmr.campaign import (
     scenarios_config_field,
     verify_campaign,
 )
-from polygraphmr.decision import ensemble_features, ensemble_features_batch
+from polygraphmr.decision import ensemble_features
 from polygraphmr.faults import (
     FAULT_MODELS,
     SURFACES,
     FaultSpec,
     apply_fault,
-    apply_fault_batch,
     corrupt_file_truncate,
     sanitize_probs,
-    sanitize_probs_batch,
     select_fault_indices,
-    select_fault_indices_batch,
 )
 from polygraphmr.metrics import get_registry
 from polygraphmr.parallel import ParallelCampaignRunner
@@ -256,7 +253,7 @@ class TestScenarioResolutionHoisting:
 
 
 # ---------------------------------------------------------------------------
-# hypothesis properties: vectorized injectors ≡ per-trial serial loop
+# hypothesis properties: row b of a batch ≡ the kernel run on row b alone
 # ---------------------------------------------------------------------------
 
 
@@ -289,35 +286,39 @@ class TestVectorizedInjectorProperties:
     def test_apply_fault_batch_equals_serial_loop(self, case, params):
         stacked, seeds = case
         before = stacked.copy()
-        batched = apply_fault_batch(stacked, seeds=seeds, **params)
+        batched = apply_fault(stacked, seeds=seeds, **params)
         assert np.array_equal(stacked, before), "batched injection mutated its input"
         for i, seed in enumerate(seeds):
-            serial = apply_fault(stacked[i], rng=np.random.default_rng(seed), **params)
-            assert batched[i].dtype == serial.dtype
-            assert np.array_equal(batched[i], serial), f"slice {i} diverged from serial"
+            alone = apply_fault(stacked[i : i + 1], seeds=[seed], **params)[0]
+            unbatched = apply_fault(stacked[i], rng=np.random.default_rng(seed), **params)
+            assert batched[i].dtype == alone.dtype == unbatched.dtype
+            assert np.array_equal(batched[i], alone), f"row {i} depends on the rest of its batch"
+            assert np.array_equal(batched[i], unbatched), f"row {i} diverged from its unbatched run"
 
     @settings(max_examples=40)
     @given(case=_batch_case(), params=FAULT_PARAMS)
     def test_select_indices_batch_equals_serial_loop(self, case, params):
+        # stuck-at-1 marks exactly the selected cells (the draws lie in
+        # [0, 1), so no untouched cell is 1.0): row i of a batch must mark
+        # the cells select_fault_indices picks for seeds[i] alone
         stacked, seeds = case
-        rows = select_fault_indices_batch(
-            stacked.shape[1:],
-            params["surface"],
+        marked = apply_fault(
+            stacked,
+            surface=params["surface"],
+            kind="stuck1",
             rate=params["rate"],
             count=params["count"],
             seeds=seeds,
         )
-        assert rows.shape[0] in (0, len(seeds))
         for i, seed in enumerate(seeds):
-            serial = select_fault_indices(
+            alone = select_fault_indices(
                 stacked.shape[1:],
                 params["surface"],
                 rate=params["rate"],
                 count=params["count"],
                 rng=np.random.default_rng(seed),
             )
-            got = rows[i] if rows.shape[0] else np.empty(0, dtype=np.int64)
-            assert np.array_equal(got, serial)
+            assert np.array_equal(np.flatnonzero(marked[i] == 1.0), np.sort(alone))
 
     @settings(max_examples=40)
     @given(
@@ -364,7 +365,7 @@ class TestVectorizedInjectorProperties:
         elif poison == "dead-row":
             arr[:, 0, :] = 0.0
         before = arr.copy()
-        batched = sanitize_probs_batch(arr)
+        batched = sanitize_probs(arr)
         assert np.array_equal(arr, before, equal_nan=True)
         for i in range(b):
             assert np.array_equal(batched[i], sanitize_probs(arr[i]))
@@ -380,6 +381,6 @@ class TestVectorizedInjectorProperties:
     def test_ensemble_features_batch_equals_serial_loop(self, b, m, n, c, base):
         raw = np.random.default_rng(base).random((b, m, n, c))
         stacked = raw / raw.sum(axis=-1, keepdims=True)
-        batched = ensemble_features_batch(stacked)
+        batched = ensemble_features(stacked)
         for i in range(b):
             assert np.array_equal(batched[i], ensemble_features(stacked[i]))

@@ -8,6 +8,7 @@ import pytest
 from polygraphmr.decision import (
     LogisticDecisionModule,
     ensemble_features,
+    majority_vote,
     misprediction_targets,
 )
 from polygraphmr.decision import _rank_auc  # noqa: PLC2701 - unit-testing the internal
@@ -25,6 +26,16 @@ class TestFeatures:
         stacked = _toy_stack(m=4, n=50, c=6)
         feats = ensemble_features(stacked)
         assert feats.shape == (50, 4 * 6 + 4)  # flat probs + 4 agreement stats
+
+    def test_majority_vote_matches_bincount_loop_including_ties(self):
+        """The one-hot tally breaks ties toward the lowest class, exactly
+        like the per-column ``np.bincount(...).argmax()`` it replaced."""
+
+        rng = np.random.default_rng(5)
+        for m, c in ((2, 3), (4, 3), (5, 10)):  # even member counts force ties
+            votes = rng.integers(0, c, size=(m, 200))
+            loop = [np.bincount(col, minlength=c).argmax() for col in votes.T]
+            np.testing.assert_array_equal(majority_vote(votes, c), loop)
 
     def test_targets(self):
         org = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
