@@ -3,30 +3,22 @@
 
 Spawns ``python -m polygraphmr.serve`` over a synthetic cache with a pinned
 per-batch service rate (``--batch-sleep``, so the numbers measure the
-gateway — framing, coalescing, shedding, breaker hysteresis, and the
-multi-process execution plane — rather than the model math or the host's
-numpy throughput), then drives it with open-loop client load: each client
-sends requests on a fixed pacing interval regardless of when responses come
-back, the way real callers do.
+gateway — framing, coalescing, shedding and breaker hysteresis — rather
+than the model math or the host's numpy throughput), then drives it with
+open-loop client load: each client sends requests on a fixed pacing
+interval regardless of when responses come back, the way real callers do.
 
-Schema v2 sweeps **worker counts**: the same concurrency levels run against
-an in-process gateway (``workers=0``) and against ``--serve-workers 1`` and
-``--serve-workers 4`` pools, so the bench shows what forking the execution
-plane buys at each load.  Per (workers, clients) level it records
-requests/sec actually answered, client-side p50/p95/p99 latency, and the
-outcome mix.  Emits ``BENCH_serve.json``::
+Schema v3 runs one gateway across three concurrency levels.  Per level it
+records requests/sec actually answered, client-side p50/p95/p99 latency,
+and the outcome mix.  Emits ``BENCH_serve.json``::
 
     PYTHONPATH=src python scripts/bench_serve.py
 
 With ``--baseline BENCH_serve.json``, answered requests/sec for each
-matching (workers, clients) level is gated against the committed baseline:
-a regression beyond ``--max-regression`` (default 30%) fails the run
-(exit 1) after one re-measurement.  The pool gate (``--min-pool-speedup``,
-default 2.0) requires the 4-worker pool to answer at least that multiple of
-the in-process rps at the highest concurrency level — with a strictly lower
-shed rate — so the execution plane must actually pay for itself.  Every
-request must receive exactly one reply — a lost or duplicated frame fails
-the bench outright.
+matching concurrency level is gated against the committed baseline: a
+regression beyond ``--max-regression`` (default 30%) fails the run (exit 1)
+after one re-measurement.  Every request must receive exactly one reply — a
+lost or duplicated frame fails the bench outright.
 """
 
 from __future__ import annotations
@@ -47,23 +39,19 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from polygraphmr.serve import ServeRequest, request_frame  # noqa: E402
 
-SCHEMA = "polygraphmr/bench-serve/v2"
+SCHEMA = "polygraphmr/bench-serve/v3"
 ENV = {"PYTHONPATH": str(REPO_ROOT / "src")}
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 MODEL = "net-00"
 READY_DEADLINE_S = 60.0
 
-# worker-count sweep: in-process, a single-worker pool (pipe overhead visible
-# in isolation), and the 4-worker plane the speedup gate judges
-WORKERS = (0, 1, 4)
-
 # (clients, requests per client, pacing interval seconds).  The first level
 # offers roughly the pinned capacity (latency floor); the later levels offer
-# far more (shed/degrade territory, where the pool's extra drain rate shows).
+# far more (shed/degrade territory).
 LEVELS = ((2, 30, 0.02), (8, 60, 0.002), (24, 60, 0.002))
 
 
-def start_gateway(cache: Path, args, workers: int) -> tuple[subprocess.Popen, int]:
+def start_gateway(cache: Path, args) -> tuple[subprocess.Popen, int]:
     cmd = [
         sys.executable,
         "-m",
@@ -90,8 +78,6 @@ def start_gateway(cache: Path, args, workers: int) -> tuple[subprocess.Popen, in
         "2",
         "--cooldown-ticks",
         "2",
-        "--serve-workers",
-        str(workers),
     ]
     proc = subprocess.Popen(cmd, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     deadline = time.monotonic() + READY_DEADLINE_S
@@ -103,9 +89,6 @@ def start_gateway(cache: Path, args, workers: int) -> tuple[subprocess.Popen, in
     if not ready.get("ready") or not ready.get("port"):
         proc.kill()
         raise SystemExit(f"FAIL: bad ready line {ready_line!r}")
-    if len(ready.get("workers", [])) != workers:
-        proc.kill()
-        raise SystemExit(f"FAIL: asked for {workers} workers, ready line says {ready.get('workers')}")
     return proc, int(ready["port"])
 
 
@@ -138,7 +121,7 @@ async def open_loop_client(port: int, client: int, n: int, interval_s: float) ->
     return done
 
 
-async def run_level(port: int, workers: int, clients: int, n: int, interval_s: float) -> dict:
+async def run_level(port: int, clients: int, n: int, interval_s: float) -> dict:
     start = time.perf_counter()
     per_client = await asyncio.gather(*[open_loop_client(port, c, n, interval_s) for c in range(clients)])
     wall_s = time.perf_counter() - start
@@ -158,7 +141,6 @@ async def run_level(port: int, workers: int, clients: int, n: int, interval_s: f
     if outcomes.get("error"):
         raise SystemExit(f"FAIL: {outcomes['error']} error responses under clean load")
     return {
-        "workers": workers,
         "clients": clients,
         "requests": total,
         "pacing_interval_s": interval_s,
@@ -185,33 +167,26 @@ async def settle(port: int, probes: int = 6) -> None:
         writer.close()
 
 
-def run_sweep(args) -> tuple[list[dict], dict[str, dict]]:
-    """One full (workers x concurrency) sweep: a fresh gateway per worker
-    count, every concurrency level against it, drain summaries collected."""
+def run_sweep(args) -> tuple[list[dict], dict]:
+    """One full concurrency sweep against a fresh gateway; returns the
+    levels and the gateway's drain summary."""
 
     levels: list[dict] = []
-    servers: dict[str, dict] = {}
-    for workers in WORKERS:
-        tmp = Path(tempfile.mkdtemp(prefix="polygraphmr-bench-serve-"))
-        proc, port = start_gateway(tmp / "cache", args, workers)
-        try:
-            for clients, n, interval_s in LEVELS:
-                level = asyncio.run(run_level(port, workers, clients, n, interval_s))
-                levels.append(level)
-                print(
-                    f"[serve w={workers}] clients={clients}: offered {level['offered_rps']:.0f} rps, "
-                    f"answered {level['achieved_rps']:.0f} rps, p99 {level['latency_s']['p99'] * 1000:.1f} ms, "
-                    f"shed {level['shed_rate']:.1%}, degraded {level['degraded_rate']:.1%}"
-                )
-                asyncio.run(settle(port))
-        finally:
-            summary = stop_gateway(proc)
-        if workers > 0:
-            pool = summary.get("pool", {})
-            if not pool.get("worker_batches"):
-                raise SystemExit(f"FAIL: {workers}-worker gateway reports no worker batches — pool never evaluated")
-        servers[f"w{workers}"] = summary
-    return levels, servers
+    tmp = Path(tempfile.mkdtemp(prefix="polygraphmr-bench-serve-"))
+    proc, port = start_gateway(tmp / "cache", args)
+    try:
+        for clients, n, interval_s in LEVELS:
+            level = asyncio.run(run_level(port, clients, n, interval_s))
+            levels.append(level)
+            print(
+                f"[serve] clients={clients}: offered {level['offered_rps']:.0f} rps, "
+                f"answered {level['achieved_rps']:.0f} rps, p99 {level['latency_s']['p99'] * 1000:.1f} ms, "
+                f"shed {level['shed_rate']:.1%}, degraded {level['degraded_rate']:.1%}"
+            )
+            asyncio.run(settle(port))
+    finally:
+        summary = stop_gateway(proc)
+    return levels, summary
 
 
 def stop_gateway(proc: subprocess.Popen) -> dict:
@@ -241,14 +216,11 @@ def validate_bench(payload: dict) -> None:
     for key in ("seed", "models", "batch_sleep_s"):
         if not isinstance(config.get(key), (int, float)):
             raise ValueError(f"config.{key} must be a number")
-    if config.get("workers_levels") != list(WORKERS):
-        raise ValueError(f"config.workers_levels must be {list(WORKERS)}")
     levels = payload.get("levels")
-    if not isinstance(levels, list) or len(levels) < 2 * len(WORKERS):
-        raise ValueError("levels must sweep every worker count across at least 2 concurrency levels")
+    if not isinstance(levels, list) or len(levels) < 2:
+        raise ValueError("levels must sweep at least 2 concurrency levels")
     for level in levels:
         for key in (
-            "workers",
             "clients",
             "requests",
             "offered_rps",
@@ -268,59 +240,28 @@ def validate_bench(payload: dict) -> None:
         outcomes = level.get("outcomes")
         if not isinstance(outcomes, dict) or sum(outcomes.values()) != level["requests"]:
             raise ValueError("levels[].outcomes must tally to levels[].requests")
-    servers = payload.get("servers")
-    if not isinstance(servers, dict):
-        raise ValueError("servers must map worker counts to drain summaries")
-    for workers in WORKERS:
-        summary = servers.get(f"w{workers}")
-        if not isinstance(summary, dict) or not isinstance(summary.get("served"), dict):
-            raise ValueError(f"servers.w{workers} must be the gateway's drain summary")
+    server = payload.get("server")
+    if not isinstance(server, dict) or not isinstance(server.get("served"), dict):
+        raise ValueError("server must be the gateway's drain summary")
 
 
 def gate_against_baseline(levels: list[dict], baseline: dict, max_regression: float) -> list[str]:
-    """Answered requests/sec per (workers, clients) level vs the committed
+    """Answered requests/sec per concurrency level vs the committed
     baseline; returns the list of human-readable failures (empty = pass)."""
 
-    base_by_key = {(lvl["workers"], lvl["clients"]): lvl for lvl in baseline.get("levels", [])}
+    base_by_clients = {lvl["clients"]: lvl for lvl in baseline.get("levels", [])}
     failures = []
     for level in levels:
-        base = base_by_key.get((level["workers"], level["clients"]))
+        base = base_by_clients.get(level["clients"])
         if base is None:
             continue
         floor = base["achieved_rps"] * (1.0 - max_regression)
         if level["achieved_rps"] < floor:
             failures.append(
-                f"workers={level['workers']} clients={level['clients']}: {level['achieved_rps']:.0f} rps "
+                f"clients={level['clients']}: {level['achieved_rps']:.0f} rps "
                 f"< floor {floor:.0f} (baseline {base['achieved_rps']:.0f}, "
                 f"max regression {max_regression:.0%})"
             )
-    return failures
-
-
-def gate_pool_speedup(levels: list[dict], min_speedup: float) -> list[str]:
-    """The execution plane must pay for itself at the hottest level: answered
-    rps with the largest pool >= ``min_speedup`` x in-process, and the pool
-    must shed strictly less of the offered load."""
-
-    if min_speedup <= 0:
-        return []
-    top_clients = max(lvl["clients"] for lvl in levels)
-    by_workers = {lvl["workers"]: lvl for lvl in levels if lvl["clients"] == top_clients}
-    base, pooled = by_workers.get(0), by_workers.get(max(WORKERS))
-    if base is None or pooled is None:
-        return [f"speedup gate needs workers=0 and workers={max(WORKERS)} at clients={top_clients}"]
-    failures = []
-    speedup = pooled["achieved_rps"] / base["achieved_rps"]
-    if speedup < min_speedup:
-        failures.append(
-            f"pool speedup {speedup:.2f}x at clients={top_clients} "
-            f"({pooled['achieved_rps']:.0f} vs {base['achieved_rps']:.0f} rps) < {min_speedup:.1f}x floor"
-        )
-    if pooled["shed_rate"] >= base["shed_rate"]:
-        failures.append(
-            f"pool shed rate {pooled['shed_rate']:.2%} at clients={top_clients} "
-            f"not strictly below in-process {base['shed_rate']:.2%}"
-        )
     return failures
 
 
@@ -346,16 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         default=0.30,
         help="max tolerated fractional rps regression vs baseline (default: 0.30)",
     )
-    parser.add_argument(
-        "--min-pool-speedup",
-        type=float,
-        default=2.0,
-        help="required answered-rps multiple of the largest pool over in-process "
-        "at the hottest level (0 disables; default: 2.0)",
-    )
     args = parser.parse_args(argv)
 
-    levels, servers = run_sweep(args)
+    levels, server = run_sweep(args)
 
     baseline = None
     if args.baseline:
@@ -371,20 +305,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"note: baseline {baseline_path} not found; gate skipped")
 
     failures = gate_against_baseline(levels, baseline, args.max_regression) if baseline else []
-    failures += gate_pool_speedup(levels, args.min_pool_speedup)
     if failures:
         # shared runners blip; re-measure once before declaring a regression
         print("gate tripped; re-measuring once")
-        retry, retry_servers = run_sweep(args)
-        by_key = {(lvl["workers"], lvl["clients"]): lvl for lvl in levels}
+        retry, server = run_sweep(args)
+        by_clients = {lvl["clients"]: lvl for lvl in levels}
         for candidate in retry:
-            key = (candidate["workers"], candidate["clients"])
-            if candidate["achieved_rps"] > by_key[key]["achieved_rps"]:
-                by_key[key] = candidate
-        levels = [by_key[(w, c)] for w in WORKERS for c, _, _ in LEVELS]
-        servers = retry_servers
-        failures = gate_against_baseline(levels, baseline, args.max_regression) if baseline else []
-        failures += gate_pool_speedup(levels, args.min_pool_speedup)
+            if candidate["achieved_rps"] > by_clients[candidate["clients"]]["achieved_rps"]:
+                by_clients[candidate["clients"]] = candidate
+        levels = [by_clients[c] for c, _, _ in LEVELS]
+        failures = gate_against_baseline(levels, baseline, args.max_regression)
 
     # the overload levels must actually exercise the overload machinery —
     # a bench where nothing sheds or degrades is measuring the wrong regime
@@ -399,11 +329,10 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "models": args.models,
             "batch_sleep_s": args.batch_sleep,
-            "workers_levels": list(WORKERS),
             "levels": [{"clients": c, "requests_per_client": n, "pacing_interval_s": i} for c, n, i in LEVELS],
         },
         "levels": levels,
-        "servers": servers,
+        "server": server,
         "host": {
             "python": platform.python_version(),
             "platform": sys.platform,

@@ -551,9 +551,8 @@ class SharedMemoryPlane:
         """JSON-safe summary of the published working set.
 
         The serving gateway prints this on its ready line so operators can
-        see at a glance what the forked evaluator pool inherited (record
-        and byte totals, per-kind counts, and whether the segment name is
-        already unlinked).
+        see at a glance what it serves from (record and byte totals,
+        per-kind counts, and whether the segment name is already unlinked).
         """
 
         kinds: dict[str, int] = {}

@@ -53,18 +53,14 @@ dispatcher's coalescing waits are a ``RetryPolicy`` schedule whose
 request whose budget is exhausted by the time its batch executes is answered
 ``deadline_exceeded`` instead of evaluated.
 
-**Multi-process execution plane.**  ``workers=N`` (CLI
-``--serve-workers``) forks a :class:`WorkerPool` of stateless evaluator
-processes that inherit the pre-warmed sessions and the already-sealed
-shared-memory plane.  The dispatcher remains authoritative for *all*
-policy — :meth:`ServeGateway._plan_batch` ticks the breaker board, decides
-the ``active``/``shed`` member split, and records pressure synchronously in
-dispatch order — while workers receive only ``(model, active_members,
-flat_sample_indices)`` and return raw arrays the parent slices and encodes
-itself, so pooled responses are byte-identical to the in-process path.  A
-crashed worker is respawned and its batch transparently re-evaluated
-in-process (``serve_pool_fallback_total{reason}``); worker metrics shards
-and spans are merged into the parent registry on drain.
+**In-process evaluation.**  The dispatcher evaluates every batch itself,
+one batch at a time.  :meth:`ServeGateway._plan_batch` makes all of a
+batch's policy decisions (breaker tick, ``active``/``shed`` member split,
+pressure recording) in dispatch order; :meth:`ServeGateway._run_plans`
+then executes the frozen plans.  Evaluation is not offloaded to other
+processes: the dispatcher's own per-batch CPU (parse, plan, encode) costs
+more than the evaluation an offload would save — see ARCHITECTURE "Why the
+gateway evaluates in-process".
 
 Latency quantiles (``serve_request_seconds``), queue depth, and
 shed/degraded/deadline-exceeded counters flow through
@@ -78,7 +74,6 @@ import asyncio
 import contextlib
 import json
 import math
-import multiprocessing as mp
 import signal
 import time
 from dataclasses import dataclass, field
@@ -90,9 +85,8 @@ from .breaker import BreakerBoard, BreakerPolicy
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, SharedMemoryPlane
 from .ensemble import EnsembleRuntime, FittedEnsemble
 from .errors import ConfigError, DegradedEnsemble, RetryPolicy, ServeError
-from .metrics import BATCH_SIZE_BUCKETS, MetricsRegistry, get_registry, set_registry
+from .metrics import BATCH_SIZE_BUCKETS, get_registry
 from .store import ArtifactStore
-from .tracing import Tracer, get_tracer, set_tracer
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -102,9 +96,6 @@ __all__ = [
     "OUTCOME_OVERLOADED",
     "OUTCOME_DEADLINE",
     "OUTCOME_ERROR",
-    "FALLBACK_NO_WORKERS",
-    "FALLBACK_WORKER_CRASH",
-    "FALLBACK_WORKER_ERROR",
     "ServeRequest",
     "parse_request",
     "request_frame",
@@ -113,8 +104,6 @@ __all__ = [
     "FrameAssembler",
     "ModelSession",
     "PolygraphService",
-    "PoolFallback",
-    "WorkerPool",
     "ServeConfig",
     "ServeGateway",
     "coalesce_slices",
@@ -278,7 +267,7 @@ class FrameAssembler:
 
     Feed raw socket chunks in, get complete frames (without the trailing
     newline) out; a partial tail is buffered until its newline arrives.  A
-    frame longer than ``max_frame_bytes`` raises
+    frame longer than ``max_frame_bytes`` — terminated or not — raises
     :class:`~polygraphmr.errors.ServeError` (``frame-too-large``) — the
     connection is poisoned, since frame boundaries can no longer be trusted.
     """
@@ -298,6 +287,8 @@ class FrameAssembler:
             newline = self._buffer.find(b"\n")
             if newline < 0:
                 break
+            if newline > self.max_frame_bytes:
+                raise ServeError("frame-too-large", f"frame of {newline} bytes exceeds {self.max_frame_bytes}")
             frames.append(bytes(self._buffer[:newline]))
             del self._buffer[: newline + 1]
         if len(self._buffer) > self.max_frame_bytes:
@@ -312,7 +303,7 @@ class FrameAssembler:
 
 def flat_sample_indices(requests: list[ServeRequest]) -> np.ndarray:
     """Concatenated sample indices across ``requests`` — the flat batch that
-    one tensor op (in-process or shipped to a pool worker) evaluates."""
+    one tensor op evaluates."""
 
     return np.array([idx for r in requests for idx in r.samples], dtype=np.int64)
 
@@ -483,12 +474,11 @@ class PolygraphService:
 
         Pure assembly — no policy, no board reads: everything dynamic
         (``active``/``shed``/``breaker_states``) is decided by the caller
-        and passed in, which is what lets pooled workers return raw arrays
-        while the dispatcher stays authoritative.  ``ndarray.tolist()`` does
-        the number conversion in one C call per array (bit-identical to the
-        old per-element ``float()``/``int()`` loops — enforced by a
-        regression test), and the static stanza is shared by reference
-        across payloads.
+        and passed in, so the dispatcher's plan stays the single source of
+        policy.  ``ndarray.tolist()`` does the number conversion in one C
+        call per array (bit-identical to the old per-element
+        ``float()``/``int()`` loops — enforced by a regression test), and
+        the static stanza is shared by reference across payloads.
         """
 
         stanza = self.static_stanza(model, active, shed)
@@ -525,9 +515,8 @@ class PolygraphService:
 
         All requests' sample indices are concatenated, evaluated once, and
         sliced back per request — byte-identical to evaluating each request
-        alone because every statistic involved is per-sample.  This is the
-        in-process composite the worker pool decomposes: policy inputs in,
-        :meth:`ModelSession.evaluate`, :meth:`build_payloads` out.
+        alone because every statistic involved is per-sample.  Policy inputs
+        in, :meth:`ModelSession.evaluate`, :meth:`build_payloads` out.
         """
 
         base = self.base_session(model)
@@ -582,236 +571,6 @@ def error_payload(rid: str, exc: BaseException) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# worker pool (multi-process execution plane)
-# ---------------------------------------------------------------------------
-
-# control-pipe verbs, parent -> worker
-POOL_EVAL = "eval"
-POOL_DRAIN = "drain"
-
-# reasons a pooled batch fell back to in-process evaluation
-FALLBACK_NO_WORKERS = "no-workers"
-FALLBACK_WORKER_CRASH = "worker-crash"
-FALLBACK_WORKER_ERROR = "worker-error"
-
-
-class PoolFallback(Exception):
-    """A pooled evaluation could not be completed by any worker.
-
-    Raised by :meth:`WorkerPool.evaluate`; the dispatcher catches it, counts
-    ``serve_pool_fallback_total{reason}``, and evaluates the batch in-process
-    — the request is always answered, and because workers run the exact same
-    tensor-op path the fallback response is byte-identical.
-    """
-
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(detail or reason)
-        self.reason = reason
-
-
-def _pool_worker_main(worker_id: int, service: PolygraphService, conn) -> None:
-    """Body of one forked evaluator process.
-
-    Stateless by contract: every policy decision (coalescing, deadlines,
-    shedding, breaker member selection) already happened in the parent —
-    a job is ``(model, active_members, flat_sample_indices)`` and the reply
-    is the raw evaluation arrays.  The worker never touches a breaker board,
-    a queue, or a socket, which is what makes pooled responses byte-identical
-    to in-process ones.
-
-    Shutdown: SIGTERM/SIGINT are ignored (the parent's drain owns shutdown
-    ordering); the worker exits on ``POOL_DRAIN`` — replying with its
-    metrics/tracing shard first — or on pipe EOF if the parent died.
-    """
-
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # fork duplicated the parent's metric and tracing state (locks included);
-    # start from fresh objects so the shard carries only this worker's deltas
-    # and no lock inherited mid-acquire can wedge the child
-    set_registry(MetricsRegistry())
-    set_tracer(Tracer())
-    registry = get_registry()
-    tracer = get_tracer()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break  # parent is gone; nothing left to serve
-        if message[0] == POOL_DRAIN:
-            with contextlib.suppress(OSError, BrokenPipeError):
-                conn.send(("metrics", registry.to_dict(), tracer.to_dicts()))
-            break
-        _, model, active, flat = message
-        try:
-            started = time.perf_counter()
-            with tracer.span("serve.worker.evaluate", model=model, samples=len(flat)):
-                session = service.session_for(model, tuple(active))
-                probs, predictions, flags = session.evaluate(np.asarray(flat, dtype=np.int64))
-            registry.counter("serve_worker_batches_total").inc()
-            registry.counter("serve_worker_samples_total").inc(len(flat))
-            registry.histogram("serve_worker_eval_seconds").observe(time.perf_counter() - started)
-            reply = ("ok", probs, predictions, flags)
-        except Exception as exc:  # noqa: BLE001 - parent falls back in-process
-            reply = ("error", type(exc).__name__, str(exc))
-        try:
-            conn.send(reply)
-        except (OSError, BrokenPipeError):
-            break
-    with contextlib.suppress(OSError):
-        conn.close()
-
-
-@dataclass
-class _PoolWorker:
-    """One live evaluator: its process, pipe, and a send/recv serializer."""
-
-    slot: int
-    process: object
-    conn: object
-    lock: asyncio.Lock
-    alive: bool = True
-
-
-class WorkerPool:
-    """A fixed-size pool of forked evaluator processes behind duplex pipes.
-
-    Workers are forked from the warm parent, so they inherit the built base
-    sessions and the (already unlinked) shared-memory plane mapping for
-    free — a SIGKILLed worker can never leak ``/dev/shm``.  The pool is a
-    pure execution plane: round-robin job placement, per-worker pipes, crash
-    detection via pipe EOF, respawn-in-place, and a drain handshake that
-    ships each worker's metrics/tracing shard back for an exact merge
-    (the pipe-borne twin of the campaign's ``metrics.wNN.json`` merge).
-    """
-
-    def __init__(self, service: PolygraphService, size: int):
-        if size <= 0:
-            raise ValueError(f"pool size must be positive; got {size}")
-        self.service = service
-        self.size = size
-        self._ctx = mp.get_context("fork")
-        self._workers: list[_PoolWorker] = []
-        self._rr = 0
-        self._draining = False
-
-    def start(self) -> None:
-        self._workers = [self._spawn(slot) for slot in range(self.size)]
-
-    def _spawn(self, slot: int) -> _PoolWorker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(slot, self.service, child_conn),
-            name=f"pgmr-serve-w{slot:02d}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _PoolWorker(slot=slot, process=process, conn=parent_conn, lock=asyncio.Lock())
-
-    @property
-    def pids(self) -> list[int]:
-        """PIDs of the currently live workers (ready-line / test surface)."""
-
-        return [int(w.process.pid) for w in self._workers if w.alive]
-
-    def _pick(self) -> _PoolWorker | None:
-        alive = [w for w in self._workers if w.alive]
-        if not alive:
-            return None
-        worker = alive[self._rr % len(alive)]
-        self._rr += 1
-        return worker
-
-    def _bury(self, worker: _PoolWorker) -> None:
-        """Retire a crashed worker and respawn its slot.
-
-        ``serve_worker_restarts_total`` counts the respawns; during drain the
-        slot stays empty instead (no point forking into a shutdown).
-        """
-
-        if not worker.alive:
-            return
-        worker.alive = False
-        with contextlib.suppress(OSError):
-            worker.conn.close()
-        if worker.process.is_alive():
-            worker.process.kill()
-        worker.process.join(timeout=5.0)
-        if not self._draining:
-            get_registry().counter("serve_worker_restarts_total").inc()
-            self._workers[worker.slot] = self._spawn(worker.slot)
-
-    async def evaluate(
-        self, model: str, active: list[str], flat: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ship one evaluation job to a worker; raw arrays back.
-
-        Pipe I/O runs on executor threads so the event loop keeps serving
-        while a worker computes.  A dead pipe (worker SIGKILLed mid-batch)
-        buries and respawns the worker and raises :class:`PoolFallback` —
-        the caller re-evaluates in-process, so the batch is still answered.
-        """
-
-        worker = self._pick()
-        if worker is None:
-            raise PoolFallback(FALLBACK_NO_WORKERS, "no live pool workers")
-        loop = asyncio.get_running_loop()
-        async with worker.lock:
-            try:
-                await loop.run_in_executor(None, worker.conn.send, (POOL_EVAL, model, list(active), flat))
-                reply = await loop.run_in_executor(None, worker.conn.recv)
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                self._bury(worker)
-                raise PoolFallback(
-                    FALLBACK_WORKER_CRASH, f"worker w{worker.slot:02d} pipe failed: {exc!r}"
-                ) from exc
-        if reply[0] != "ok":
-            raise PoolFallback(FALLBACK_WORKER_ERROR, f"worker w{worker.slot:02d}: {reply[1]}: {reply[2]}")
-        get_registry().counter("serve_pool_jobs_total", worker=f"w{worker.slot:02d}").inc()
-        _, probs, predictions, flags = reply
-        return probs, predictions, flags
-
-    async def drain(self) -> int:
-        """Stop every worker, folding their observability shards into the
-        parent registry/tracer.  Returns the number of shards merged.
-
-        Shards merge in slot order through the same exact-arithmetic path as
-        campaign worker shards (counter add, gauge max, bucket add), so the
-        exported ``metrics.json`` accounts for every worker's evaluations.
-        """
-
-        self._draining = True
-        loop = asyncio.get_running_loop()
-        shards: list[tuple[int, dict, list[dict]]] = []
-        for worker in self._workers:
-            if not worker.alive:
-                continue
-            async with worker.lock:
-                try:
-                    await loop.run_in_executor(None, worker.conn.send, (POOL_DRAIN,))
-                    reply = await asyncio.wait_for(loop.run_in_executor(None, worker.conn.recv), timeout=30.0)
-                    if reply[0] == "metrics":
-                        shards.append((worker.slot, reply[1], reply[2]))
-                except (EOFError, OSError, BrokenPipeError, asyncio.TimeoutError):
-                    pass  # a dead worker's shard is lost; drain the rest
-            worker.alive = False
-            with contextlib.suppress(OSError):
-                worker.conn.close()
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
-        registry = get_registry()
-        tracer = get_tracer()
-        for _slot, metrics_dict, spans in sorted(shards, key=lambda shard: shard[0]):
-            registry.merge_dict(metrics_dict)
-            tracer.absorb(spans)
-        return len(shards)
-
-
-# ---------------------------------------------------------------------------
 # deadline / coalescing budgets
 # ---------------------------------------------------------------------------
 
@@ -859,9 +618,6 @@ class ServeConfig:
     batch_sleep_s: float = 0.0
     metrics_out: str | None = None
     prom_out: str | None = None
-    # > 0 forks that many evaluator processes (the multi-process execution
-    # plane); 0 keeps evaluation in-process on the dispatcher
-    workers: int = 0
 
 
 _STOP = object()
@@ -890,9 +646,8 @@ class _BatchPlan:
     The dispatcher computes everything stateful here — validation verdicts,
     active/shed member selection (with its ``allow()`` probe side effects),
     the breaker-state snapshot, and the pressure recording — *synchronously
-    at dispatch*, so pooled batches can execute concurrently without any
-    worker ever reading or racing on the board.  Execution downstream is a
-    pure function of the plan.
+    at dispatch*, so execution never reads the board.  Execution downstream
+    is a pure function of the plan.
     """
 
     model: str
@@ -904,8 +659,9 @@ class _BatchPlan:
 
 
 class _Connection:
-    """One client connection: a writer plus a lock so interleaved batch
-    completions never tear frames."""
+    """One client connection: a writer plus a lock, because the connection's
+    reader (inline ops, parse errors, sheds) and the dispatcher (batch
+    results) both write to it and a frame must never tear."""
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
@@ -933,30 +689,10 @@ class ServeGateway:
         self._draining = False
         self._drained = asyncio.Event()
         self.bound_port: int | None = None
-        self._pool: WorkerPool | None = None
-        self._pool_sem: asyncio.Semaphore | None = None
-        self._inflight: set[asyncio.Task] = set()
-
-    @property
-    def worker_pids(self) -> list[int]:
-        """Live pool worker PIDs ([] when serving in-process)."""
-
-        return self._pool.pids if self._pool is not None else []
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        if self.config.workers > 0:
-            # Warm every servable base session *before* forking: workers
-            # inherit the fitted sessions (and the sealed shared-memory
-            # plane mapping) through fork instead of each rebuilding them.
-            # Models that won't serve warm lazily and fail per-request.
-            for model in self.service.store.models():
-                with contextlib.suppress(ServeError, DegradedEnsemble):
-                    self.service.base_session(model)
-            self._pool = WorkerPool(self.service, self.config.workers)
-            self._pool.start()
-            self._pool_sem = asyncio.Semaphore(self.config.workers)
         if self.config.host is not None:
             server = await asyncio.start_server(self._handle, self.config.host, self.config.port)
             self._servers.append(server)
@@ -985,12 +721,6 @@ class ServeGateway:
         await self.queue.put(_STOP)
         if self._dispatcher is not None:
             await self._dispatcher
-        # pooled batches dispatched as tasks may still be executing: every
-        # already-accepted request completes before the pool shuts down
-        if self._inflight:
-            await asyncio.gather(*self._inflight, return_exceptions=True)
-        if self._pool is not None:
-            await self._pool.drain()  # folds worker shards into this registry
         self._export_metrics()
         for task in list(self._handlers):
             task.cancel()
@@ -1066,7 +796,7 @@ class ServeGateway:
 
     def _metrics_snapshot(self) -> dict:
         registry = get_registry()
-        snapshot = {
+        return {
             "requests": {outcome: registry.counter_value("serve_requests_total", outcome=outcome) for outcome in OUTCOMES},
             "shed": registry.counter_value("serve_shed_total"),
             "degraded": registry.counter_value("serve_degraded_total"),
@@ -1074,16 +804,6 @@ class ServeGateway:
             "batches": registry.counter_value("serve_batches_total"),
             "queue_depth": self.queue.qsize(),
         }
-        if self._pool is not None:
-            snapshot["pool"] = {
-                "workers": len(self._pool.pids),
-                "restarts": registry.counter_value("serve_worker_restarts_total"),
-                "fallbacks": {
-                    reason: registry.counter_value("serve_pool_fallback_total", reason=reason)
-                    for reason in (FALLBACK_NO_WORKERS, FALLBACK_WORKER_CRASH, FALLBACK_WORKER_ERROR)
-                },
-            }
-        return snapshot
 
     async def _finish(self, conn: _Connection, payload: dict, started: float) -> None:
         """Send a terminal response: the single point that counts outcomes,
@@ -1122,24 +842,9 @@ class ServeGateway:
                     batch.append(extra)
             else:
                 stopping = await self._coalesce(batch)
-            # Policy runs here, synchronously, in dispatch order — batch N's
-            # board mutations are complete before batch N+1 is even planned,
-            # whether execution is serial (in-process) or concurrent (pool).
-            plans = self._plan_batch(batch)
-            if self._pool is None or self._pool_sem is None:
-                await self._run_plans(plans)
-            else:
-                await self._pool_sem.acquire()
-                task = asyncio.create_task(self._run_plans(plans))
-                self._inflight.add(task)
-                task.add_done_callback(self._batch_task_done)
-
-    def _batch_task_done(self, task: asyncio.Task) -> None:
-        self._inflight.discard(task)
-        if self._pool_sem is not None:
-            self._pool_sem.release()
-        if not task.cancelled() and task.exception() is not None:  # pragma: no cover - defensive
-            get_registry().counter("serve_batch_task_errors_total").inc()
+            # Policy runs synchronously in dispatch order — batch N's board
+            # mutations are complete before batch N+1 is even planned.
+            await self._run_plans(self._plan_batch(batch))
 
     def _batch_budget_s(self, batch: list[_Queued], now: float) -> float:
         """The scarcest remaining deadline in the batch (coalescing must not
@@ -1178,11 +883,6 @@ class ServeGateway:
                 batch.append(extra)
         return False
 
-    async def _execute(self, batch: list[_Queued]) -> None:
-        """Plan then run one batch — the serial composite (tests drive it)."""
-
-        await self._run_plans(self._plan_batch(batch))
-
     def _plan_batch(self, batch: list[_Queued]) -> list[_BatchPlan]:
         """All of a batch's policy, synchronously at dispatch time.
 
@@ -1190,8 +890,7 @@ class ServeGateway:
         samples become error payloads in the plan), selects active/shed
         members, snapshots breaker states for the payloads, and records this
         batch's pressure verdict — the complete set of board reads and
-        writes, so execution never touches shared policy state and pooled
-        batches can overlap freely.
+        writes, so execution never touches shared policy state.
         """
 
         registry = get_registry()
@@ -1231,8 +930,8 @@ class ServeGateway:
 
     async def _run_plans(self, plans: list[_BatchPlan]) -> None:
         """Execute planned work: sleep-padding, deadline filtering, tensor
-        evaluation, response frames.  Touches no policy state, so any number
-        of these may be in flight at once in pooled mode."""
+        evaluation, response frames.  Touches no policy state: everything it
+        needs was frozen into the plans at dispatch."""
 
         registry = get_registry()
         if self.config.batch_sleep_s > 0.0:
@@ -1253,43 +952,19 @@ class ServeGateway:
                 await self._finish(queued.conn, payload, queued.started)
             if not live:
                 continue
-            payloads = await self._evaluate_plan(plan, live)
+            payloads = self._evaluate_plan(plan, live)
             for queued, payload in zip(live, payloads):
                 if payload["outcome"] == OUTCOME_DEGRADED:
                     registry.counter("serve_degraded_total").inc()
                 await self._finish(queued.conn, payload, queued.started)
 
-    async def _evaluate_plan(self, plan: _BatchPlan, live: list[_Queued]) -> list[dict]:
-        """Evaluate one plan's surviving requests — pooled when a pool is
-        up, in-process otherwise, and in-process as the always-correct
-        fallback when the pool fails (``serve_pool_fallback_total{reason}``).
-        Both paths run the identical tensor-op math on identical policy
-        inputs, so the response bytes cannot differ."""
+    def _evaluate_plan(self, plan: _BatchPlan, live: list[_Queued]) -> list[dict]:
+        """Evaluate one plan's surviving requests in-process on the plan's
+        frozen policy inputs (active/shed members, breaker snapshot)."""
 
-        registry = get_registry()
-        requests = [q.request for q in live]
-        if self._pool is not None:
-            flat = flat_sample_indices(requests)
-            try:
-                probs, predictions, flags = await self._pool.evaluate(plan.model, plan.active, flat)
-            except PoolFallback as exc:
-                registry.counter("serve_pool_fallback_total", reason=exc.reason).inc()
-            else:
-                registry.counter("serve_pool_samples_total").inc(len(flat))
-                return self.service.build_payloads(
-                    plan.model,
-                    requests,
-                    [len(r.samples) for r in requests],
-                    probs,
-                    predictions,
-                    flags,
-                    active=plan.active,
-                    shed=plan.shed,
-                    breaker_states=plan.breaker_states,
-                )
         return self.service.evaluate_requests(
             plan.model,
-            requests,
+            [q.request for q in live],
             active=plan.active,
             shed=plan.shed,
             breaker_states=plan.breaker_states,
@@ -1353,7 +1028,6 @@ async def _serve(args) -> int:
         batch_sleep_s=args.batch_sleep,
         metrics_out=args.metrics_out,
         prom_out=args.prom_out,
-        workers=args.serve_workers,
     )
     gateway = ServeGateway(service, config)
     await gateway.start()
@@ -1369,7 +1043,6 @@ async def _serve(args) -> int:
         "models": store.models(),
         "port": gateway.bound_port,
         "unix": args.unix,
-        "workers": gateway.worker_pids,
         "plane": plane.describe() if plane is not None else None,
     }
     print(json.dumps(ready, sort_keys=True), flush=True)
@@ -1386,17 +1059,6 @@ async def _serve(args) -> int:
         "degraded": registry.counter_value("serve_degraded_total"),
         "deadline_exceeded": registry.counter_value("serve_deadline_exceeded_total"),
     }
-    if args.serve_workers > 0:
-        # worker shards are already merged (pool drain precedes export)
-        summary["pool"] = {
-            "workers": args.serve_workers,
-            "restarts": registry.counter_value("serve_worker_restarts_total"),
-            "worker_batches": registry.counter_value("serve_worker_batches_total"),
-            "fallbacks": {
-                reason: registry.counter_value("serve_pool_fallback_total", reason=reason)
-                for reason in (FALLBACK_NO_WORKERS, FALLBACK_WORKER_CRASH, FALLBACK_WORKER_ERROR)
-            },
-        }
     print(json.dumps(summary, sort_keys=True), flush=True)
     return 0
 
@@ -1444,12 +1106,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=0.0,
         help="pad each executed batch by this many seconds (bench/smoke: pins the service rate)",
-    )
-    parser.add_argument(
-        "--serve-workers",
-        type=int,
-        default=0,
-        help="fork this many evaluator processes (0 = evaluate in-process on the dispatcher)",
     )
     parser.add_argument("--failure-threshold", type=int, default=3, help="overloaded batches before a member sheds")
     parser.add_argument("--cooldown-ticks", type=int, default=2, help="batches an open breaker waits before probing")

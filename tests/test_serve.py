@@ -24,7 +24,7 @@ import pytest
 from polygraphmr.breaker import OPEN, BreakerBoard, BreakerPolicy
 from polygraphmr.decision import LogisticDecisionModule, ensemble_features, misprediction_targets
 from polygraphmr.ensemble import EnsembleRuntime
-from polygraphmr.errors import RetryPolicy
+from polygraphmr.errors import ConfigError, RetryPolicy
 from polygraphmr.metrics import get_registry
 from polygraphmr.serve import (
     OUTCOME_DEADLINE,
@@ -37,6 +37,7 @@ from polygraphmr.serve import (
     ServeGateway,
     ServeRequest,
     coalesce_slices,
+    flat_sample_indices,
     main,
     request_frame,
     response_frame,
@@ -484,3 +485,80 @@ class TestCLI:
         assert summary["served"][OUTCOME_OK] == 1
         assert metrics_path.is_file()
         assert "serve_requests_total" in prom_path.read_text(encoding="utf-8")
+
+
+class TestCheckSamplesVectorized:
+    def test_valid_indices_pass(self, service):
+        service.check_samples(MODEL, ServeRequest(id="v", model=MODEL, samples=(0, 159, 42)))
+
+    def test_first_offending_index_names_the_exact_field(self, service):
+        """The numpy range check reports the same field path the old
+        per-index Python loop reported: the *first* out-of-range index."""
+
+        with pytest.raises(ConfigError) as excinfo:
+            service.check_samples(MODEL, ServeRequest(id="v", model=MODEL, samples=(0, 160, 3, 9999)))
+        assert excinfo.value.field == "request.samples[1]"
+        assert excinfo.value.reason == "out-of-range"
+        assert "160 test samples" in excinfo.value.detail
+
+    def test_flat_sample_indices_concatenates_in_request_order(self):
+        requests = [
+            ServeRequest(id="a", model=MODEL, samples=(3, 1)),
+            ServeRequest(id="b", model=MODEL, samples=(4,)),
+        ]
+        flat = flat_sample_indices(requests)
+        assert flat.dtype == np.int64
+        assert flat.tolist() == [3, 1, 4]
+
+
+class TestEncoderByteIdentity:
+    def test_tolist_payloads_byte_identical_to_per_element_encoder(self, service):
+        """Regression pin: ``.tolist()`` fast-path encoding produces the
+        exact frames the old per-element ``float()``/``int()`` loops did."""
+
+        requests = [
+            ServeRequest(id="t0", model=MODEL, samples=(0, 7, 31)),
+            ServeRequest(id="t1", model=MODEL, samples=(159,)),
+            ServeRequest(id="t2", model=MODEL, samples=(12, 12, 13)),
+        ]
+        session = service.base_session(MODEL)
+        active = list(session.members)
+        flat = flat_sample_indices(requests)
+        probs, predictions, flags = session.evaluate(flat)
+        breaker_states = service.board.states_for(MODEL)
+
+        # the pre-vectorization encoder, verbatim
+        old_frames = []
+        offset = 0
+        for request in requests:
+            span = slice(offset, offset + len(request.samples))
+            offset += len(request.samples)
+            old_frames.append(
+                response_frame(
+                    {
+                        "id": request.id,
+                        "outcome": OUTCOME_OK,
+                        "model": MODEL,
+                        "members": list(session.members),
+                        "probs": [[float(p) for p in row] for row in probs[span]],
+                        "predictions": [int(p) for p in predictions[span]],
+                        "flags": [int(f) for f in flags[span]],
+                        "degraded": False,
+                        "shed": [],
+                        "missing": list(session.missing),
+                        "quarantined": dict(session.quarantined),
+                        "breakers": breaker_states,
+                    }
+                )
+            )
+
+        payloads = service.evaluate_requests(MODEL, requests, active=active, shed=[])
+        assert [response_frame(p) for p in payloads] == old_frames
+
+    def test_static_stanza_is_cached_and_shared(self, service):
+        first = service.static_stanza(MODEL, ["ORG", "pp-Gamma_2"], [])
+        second = service.static_stanza(MODEL, ["ORG", "pp-Gamma_2"], [])
+        assert first is second, "stanza cache missed on an identical key"
+        other = service.static_stanza(MODEL, ["ORG"], ["pp-Gamma_2"])
+        assert other is not first
+        assert other["shed"] == ["pp-Gamma_2"]

@@ -200,10 +200,17 @@ class TestFrameAssembly:
 
     @given(st.integers(min_value=1, max_value=64))
     def test_unterminated_oversize_frame_poisons_the_connection(self, limit):
-        assembler = FrameAssembler(max_frame_bytes=limit)
-        with pytest.raises(ServeError) as exc_info:
-            assembler.feed(b"x" * (limit + 1))
-        assert exc_info.value.reason == "frame-too-large"
+        oversize = b"x" * (limit + 1)
+        for chunks in (
+            [oversize],  # unterminated
+            [oversize + b"\n"],  # terminated, in one chunk
+            [oversize[: limit // 2], oversize[limit // 2 :] + b"\n"],  # terminated, each chunk under the bound
+        ):
+            assembler = FrameAssembler(max_frame_bytes=limit)
+            with pytest.raises(ServeError) as exc_info:
+                for chunk in chunks:
+                    assembler.feed(chunk)
+            assert exc_info.value.reason == "frame-too-large"
         # a terminated frame of any length under the bound is still fine
         ok = FrameAssembler(max_frame_bytes=limit)
         assert ok.feed(b"y" * limit + b"\n") == [b"y" * limit]
