@@ -25,6 +25,10 @@ Three phases, all against the same 4-model synthetic cache::
    through the vectorized batch engine, serially and with 4 workers; both
    journals and checkpoints must be byte-identical to the per-trial serial
    reference and verify exit 0.
+6. **Gate memo** — on a copy of the cache with one member of one model
+   truncated, a per-trial serial run and a 4-worker run must each count
+   exactly one gate-memo miss per distinct (model, members) pair in the
+   journal's ok records, and one memo lookup per ok trial.
 
 Every phase boundary is additionally audited with ``python -m
 polygraphmr.campaign verify`` — after the serial run, after the shard
@@ -39,6 +43,7 @@ push.
 from __future__ import annotations
 
 import json
+import shutil
 import signal
 import subprocess
 import sys
@@ -50,6 +55,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from polygraphmr.campaign import CampaignJournal, scan_campaign  # noqa: E402
+from polygraphmr.faults import corrupt_file_truncate  # noqa: E402
+from polygraphmr.metrics import METRICS_NAME, load_registry  # noqa: E402
 
 N_TRIALS = 16
 N_MODELS = 4
@@ -72,12 +79,13 @@ def campaign_cmd(
     resume: bool = False,
     scenarios: bool = False,
     batch_size: int | None = None,
+    synthetic: bool = True,
 ) -> list[str]:
     cmd = [
         sys.executable,
         "-m",
         "polygraphmr.campaign",
-        "--synthetic",
+        "--synthetic" if synthetic else "--cache",
         str(cache),
         "--synthetic-models",
         str(N_MODELS),
@@ -106,11 +114,19 @@ def campaign_cmd(
 
 
 def timed_run(
-    cache: Path, out: Path, *, workers: int, scenarios: bool = False, batch_size: int | None = None
+    cache: Path,
+    out: Path,
+    *,
+    workers: int,
+    scenarios: bool = False,
+    batch_size: int | None = None,
+    synthetic: bool = True,
 ) -> tuple[float, dict]:
     start = time.monotonic()
     proc = subprocess.run(
-        campaign_cmd(cache, out, workers=workers, scenarios=scenarios, batch_size=batch_size),
+        campaign_cmd(
+            cache, out, workers=workers, scenarios=scenarios, batch_size=batch_size, synthetic=synthetic
+        ),
         env=ENV,
         capture_output=True,
         text=True,
@@ -340,12 +356,41 @@ def phase_batched_identity(tmp: Path) -> None:
     print("OK: --batch-size 8 journals byte-identical to the per-trial loop (serial and 4-worker)")
 
 
+def phase_gate_memo(tmp: Path) -> None:
+    """The gate is fitted once per (model, member set), not once per trial."""
+
+    cache = tmp / "memo-cache"
+    shutil.copytree(tmp / "cache", cache)
+    victim = cache / "synthetic-01" / "pp-FlipX.val.probs.npz"
+    corrupt_file_truncate(victim, victim, keep_fraction=0.3, seed=5)
+    for label, workers in (("memo-serial", 1), ("memo-4w", 4)):
+        out = tmp / label
+        timed_run(cache, out, workers=workers, synthetic=False)
+        ok = [r for r in CampaignJournal(out / "journal.jsonl").trial_records().values() if r["outcome"] == "ok"]
+        pairs = {(r["result"]["model"], tuple(r["result"]["members"])) for r in ok}
+        registry = load_registry(out / METRICS_NAME)
+        if registry is None:
+            raise SystemExit(f"FAIL: {label}: no {METRICS_NAME}")
+        misses = registry.counter_value("decision_gate_memo_total", result="miss")
+        hits = registry.counter_value("decision_gate_memo_total", result="hit")
+        if len(ok) != N_TRIALS:
+            raise SystemExit(f"FAIL: {label}: {len(ok)}/{N_TRIALS} ok trial(s)")
+        if not any(model == "synthetic-01" and "pp-FlipX" not in members for model, members in pairs):
+            raise SystemExit(f"FAIL: {label}: the truncated member never dropped out: {sorted(pairs)}")
+        if misses != len(pairs):
+            raise SystemExit(f"FAIL: {label}: {misses} gate fit(s) for {len(pairs)} distinct (model, members)")
+        if hits + misses != len(ok):
+            raise SystemExit(f"FAIL: {label}: {hits} hit(s) + {misses} miss(es) != {len(ok)} ok trial(s)")
+        print(f"OK: {label}: {misses} gate fit(s) == distinct (model, members), {hits} memo hit(s)")
+
+
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="polygraphmr-smoke-"))
     phase_equivalence_and_speedup(tmp)
     phase_kill_and_resume(tmp)
     phase_scenario_sweep(tmp)
     phase_batched_identity(tmp)
+    phase_gate_memo(tmp)
     return 0
 
 

@@ -9,6 +9,7 @@ split and evaluated on ``test`` — pure numpy, no external ML dependency.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 
@@ -166,6 +167,15 @@ class LogisticDecisionModule:
             self.b -= self.lr * float(err.mean())
         get_registry().histogram("decision_fit_seconds").observe(time.perf_counter() - start)
         return self
+
+    def with_weights(self, w: np.ndarray) -> "LogisticDecisionModule":
+        """A copy scoring with weight vector ``w`` in place of the fitted
+        one; bias and standardisation stats are shared.  Leaves ``self``
+        untouched, so a shared (memoized) gate can be faulted safely."""
+
+        faulted = copy.copy(self)
+        faulted.w = np.asarray(w, dtype=np.float64)
+        return faulted
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         if self.w is None:

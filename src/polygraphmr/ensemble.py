@@ -15,6 +15,16 @@ paths) and the serving gateway all start from it; it never ticks a breaker
 board, so each caller ticks where its own clock says a trial or batch
 begins.
 
+The gate fit is a pure function of (member order, seed, ``val`` stack and
+labels), so each runtime memoizes it under a SHA-256 of exactly those
+bytes: a campaign fits one gate per (model, member set) instead of one per
+trial.  The key hashes content, never object identity or file stats: a
+``val`` stack re-read with the same bytes is a hit, a salvaged or changed
+one a miss.  The memo is per runtime so that a runtime thrown away after a
+trial timeout takes its gates with it.  A memoized gate is shared by every
+later ``fit`` on that runtime and is read-only.
+:meth:`FittedEnsemble.restrict` fits directly, without the memo.
+
 A runtime instance (store + breaker board + decision caches) is mutable
 state and must stay within one process: multiprocess campaign workers each
 build their own runtime after ``fork`` via
@@ -31,6 +41,8 @@ array in place.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,17 +76,45 @@ class EnsembleBatch:
         return bool(self.missing or self.quarantined)
 
 
+def _gate_key(members: list[str], val_stack: np.ndarray, val_labels: np.ndarray, seed: int) -> str:
+    """SHA-256 over everything the gate fit reads: the member order, the
+    seed, and the ``val`` stack and labels (shape, dtype and bytes)."""
+
+    header = [list(members), seed, val_stack.shape, val_stack.dtype.str, val_labels.shape, val_labels.dtype.str]
+    digest = hashlib.sha256(json.dumps(header).encode())
+    digest.update(np.ascontiguousarray(val_stack))
+    digest.update(np.ascontiguousarray(val_labels))
+    return digest.hexdigest()
+
+
 def _fit_gate(
-    members: list[str], val_stack: np.ndarray, val_labels: np.ndarray | None, seed: int
+    members: list[str],
+    val_stack: np.ndarray,
+    val_labels: np.ndarray | None,
+    seed: int,
+    memo: dict[str, LogisticDecisionModule] | None = None,
 ) -> LogisticDecisionModule | None:
     """The decision gate fitted on ``val``, or ``None`` when ORG did not
-    survive or the ``val`` labels are missing or disagree with the stack."""
+    survive or the ``val`` labels are missing or disagree with the stack.
+
+    With a ``memo`` the gate is looked up by :func:`_gate_key` and fitted
+    only on a miss; a memoized gate is shared, so callers treat it as
+    read-only."""
 
     if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
         return None
+    if memo is not None:
+        key = _gate_key(members, val_stack, val_labels, seed)
+        gate = memo.get(key)
+        get_registry().counter("decision_gate_memo_total", result="miss" if gate is None else "hit").inc()
+        if gate is not None:
+            return gate
     gate = LogisticDecisionModule(seed=seed)
     org_val = val_stack[members.index("ORG")]
-    return gate.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
+    gate.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
+    if memo is not None:
+        memo[key] = gate
+    return gate
 
 
 @dataclass
@@ -189,6 +229,9 @@ class EnsembleRuntime:
         self.min_members = min_members
         self.seed = seed
         self.breakers = breakers
+        # gate memo (see _fit_gate): per runtime, so a runtime thrown away
+        # after a trial timeout takes its gates with it
+        self._gates: dict[str, LogisticDecisionModule] = {}
 
     # -- assembly --------------------------------------------------------
 
@@ -208,7 +251,7 @@ class EnsembleRuntime:
             plan = manifest.present_stems()
         if "ORG" in plan:  # keep ORG first: feature layout and targets rely on it
             plan = ["ORG"] + [s for s in plan if s != "ORG"]
-        elif "ORG" not in plan:
+        else:
             plan = ["ORG"] + plan
         return plan
 
@@ -320,7 +363,7 @@ class EnsembleRuntime:
             quarantined=quarantined,
             val_labels=val_labels,
             test_labels=self.store.load_labels(model, "test"),
-            gate=_fit_gate(common, val_stack, val_labels, self.seed),
+            gate=_fit_gate(common, val_stack, val_labels, self.seed, memo=self._gates),
             seed=self.seed,
         )
 

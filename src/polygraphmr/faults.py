@@ -464,17 +464,14 @@ def degradation_reports(ctx: DegradationContext, faults: list) -> list[dict]:
     gate = ctx.fitted.gate
     if getattr(faults[0], "target", "probs") == "weights":
         # the faulted surface is the gate's own weight vector — tiny, so
-        # batching buys nothing; the fit is still shared
+        # batching buys nothing; the fit is still shared, and each fault
+        # scores a faulted copy so the shared gate stays read-only
         out = []
-        pristine = gate.w
-        try:
-            for fault in faults:
-                gate.w = np.asarray(fault.apply(pristine), dtype=np.float64)
-                faulted_flags = gate.predict(ctx.clean_features)
-                faulted = gate.evaluate(ctx.clean_features, ctx.clean_targets)
-                out.append(degradation_payload(ctx, fault, faulted, faulted_flags))
-        finally:
-            gate.w = pristine
+        for fault in faults:
+            faulted_gate = gate.with_weights(fault.apply(gate.w))
+            faulted_flags = faulted_gate.predict(ctx.clean_features)
+            faulted = faulted_gate.evaluate(ctx.clean_features, ctx.clean_targets)
+            out.append(degradation_payload(ctx, fault, faulted, faulted_flags))
         return out
 
     stack = ctx.fitted.test_stack

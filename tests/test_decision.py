@@ -61,6 +61,19 @@ class TestTraining:
         b = LogisticDecisionModule(seed=42).fit(feats, y).predict_proba(feats)
         np.testing.assert_array_equal(a, b)
 
+    def test_with_weights_scores_a_copy(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(300, 5))
+        y = (x[:, 0] > 0).astype(float)
+        module = LogisticDecisionModule(seed=0).fit(x, y)
+        pristine = module.w.tobytes()
+        before = module.predict_proba(x)
+        faulted = module.with_weights(-module.w)
+        assert faulted is not module and faulted.b == module.b
+        assert module.w.tobytes() == pristine
+        np.testing.assert_array_equal(module.predict_proba(x), before)
+        assert faulted.evaluate(x, y).auc < 0.05  # negated weights invert the ranking
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             LogisticDecisionModule().predict_proba(np.zeros((2, 3)))

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import ConfigError
 from polygraphmr.faults import (
     FaultSpec,
@@ -132,6 +133,15 @@ class TestDegradationMeasurement:
             synthetic_store, "tinynet", FaultSpec("gaussian", sigma=0.0), seed=0
         )
         assert clean_again["clean"] == report["clean"]
+        # through a runtime whose gate memo hits, the shared gate is never
+        # written: its weights are byte-identical after the faulted report
+        runtime = EnsembleRuntime(synthetic_store, seed=0)
+        gate = runtime.fit("tinynet").gate
+        pristine = gate.w.tobytes()
+        again = measure_degradation(synthetic_store, "tinynet", fault, seed=0, runtime=runtime)
+        assert runtime.fit("tinynet").gate is gate
+        assert gate.w.tobytes() == pristine
+        assert again == report
 
 
 class TestCLI:

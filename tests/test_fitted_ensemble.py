@@ -1,4 +1,5 @@
-"""Error outcomes of every fitted-ensemble caller, pinned.
+"""Error outcomes of every fitted-ensemble caller, pinned; and the
+runtime's content-addressed gate memo.
 
 The ensemble runtime, the degradation harness (and through it the campaign
 journal, serial and batched) and the serving gateway all assemble both
@@ -7,6 +8,10 @@ tests pin what each caller does when ORG does not survive, when labels are
 missing, and when the ``val`` labels disagree with the stack in length.  The
 campaign journals ``repr(exc)`` for a failed trial, so the exception
 messages asserted here are journal bytes.
+
+The gate fit is memoized per runtime under a hash of its inputs; the memo
+tests pin what is a hit, what is a miss, and that a campaign fits once per
+(model, member set).
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from polygraphmr.campaign import (
     CampaignConfig,
     CampaignJournal,
     CampaignRunner,
+    TrialExecutor,
 )
 from polygraphmr.ensemble import DegradedResult, EnsembleResult, EnsembleRuntime
 from polygraphmr.errors import DegradedEnsemble
 from polygraphmr.faults import FaultSpec, corrupt_file_truncate, measure_degradation
+from polygraphmr.metrics import get_registry
 from polygraphmr.serve import OUTCOME_DEGRADED, OUTCOME_OK, PolygraphService, ServeRequest
 from polygraphmr.store import ArtifactStore
 
@@ -179,3 +186,95 @@ class TestIntersectionBelowMinimum:
         serial = _campaign_errors(split_losses, tmp_path / "serial", use_batch=False)
         batched = _campaign_errors(split_losses, tmp_path / "batched", use_batch=True)
         assert serial == batched == [expected] * 6
+
+
+def _memo(result: str) -> int:
+    return get_registry().counter_value("decision_gate_memo_total", result=result)
+
+
+class TestGateMemo:
+    def test_a_second_fit_reuses_the_gate(self, synthetic_store):
+        runtime = EnsembleRuntime(synthetic_store)
+        first = runtime.fit(MODEL)
+        second = runtime.fit(MODEL)
+        assert second.gate is first.gate
+        features = np.random.default_rng(0).random((N, first.gate.w.shape[0]))
+        assert second.gate.predict_proba(features).tobytes() == first.gate.predict_proba(features).tobytes()
+        assert (_memo("miss"), _memo("hit")) == (1, 1)
+        assert get_registry().histogram_for("decision_fit_seconds").count == 1
+
+    def test_one_flipped_val_byte_is_a_miss(self, synthetic_cache, write_probs):
+        runtime = EnsembleRuntime(ArtifactStore(synthetic_cache))
+        gate = runtime.fit(MODEL).gate
+        path = synthetic_cache / MODEL / "pp-Hist.val.probs.npz"
+        with np.load(path) as npz:
+            probs = npz["probs"].copy()
+        probs.view(np.uint8)[0] ^= 1  # lowest mantissa bit of one probability
+        write_probs(path, probs)
+        assert runtime.fit(MODEL).gate is not gate
+        assert (_memo("miss"), _memo("hit")) == (2, 0)
+
+    def test_one_changed_label_is_a_miss(self, synthetic_cache, write_labels):
+        runtime = EnsembleRuntime(ArtifactStore(synthetic_cache))
+        gate = runtime.fit(MODEL).gate
+        path = synthetic_cache / MODEL / "labels.val.npz"
+        with np.load(path) as npz:
+            labels = npz["labels"].copy()
+        labels[0] = (labels[0] + 1) % 10
+        write_labels(path, labels)
+        assert runtime.fit(MODEL).gate is not gate
+        assert (_memo("miss"), _memo("hit")) == (2, 0)
+
+    def test_member_order_is_part_of_the_key(self, synthetic_store):
+        runtime = EnsembleRuntime(synthetic_store)
+        members = runtime.member_plan(MODEL)
+        gate = runtime.fit(MODEL, members=members).gate
+        swapped = members[:1] + members[2:0:-1] + members[3:]
+        refit = runtime.fit(MODEL, members=swapped)
+        assert refit.members == swapped and refit.gate is not gate
+        assert (_memo("miss"), _memo("hit")) == (2, 0)
+
+    def test_the_seed_is_part_of_the_key(self, synthetic_store):
+        runtime = EnsembleRuntime(synthetic_store, seed=0)
+        gate = runtime.fit(MODEL).gate
+        runtime.seed = 1
+        assert runtime.fit(MODEL).gate is not gate
+        runtime.seed = 0
+        assert runtime.fit(MODEL).gate is gate
+        assert (_memo("miss"), _memo("hit")) == (2, 1)
+
+    def test_restrict_fits_directly(self, synthetic_store):
+        fitted = EnsembleRuntime(synthetic_store).fit(MODEL)
+        fitted.restrict(fitted.members[:2])
+        assert (_memo("miss"), _memo("hit")) == (1, 0)
+        assert get_registry().histogram_for("decision_fit_seconds").count == 2
+
+    def test_a_runtime_rebuilt_after_a_timeout_starts_empty(self, synthetic_cache):
+        executor = TrialExecutor(CampaignConfig(cache=str(synthetic_cache), n_trials=1), [MODEL])
+        old = executor.runtime_for(MODEL)
+        gate = old.fit(MODEL).gate
+        executor._rebuild_after_timeout(MODEL, executor.board_for(MODEL).snapshot())
+        rebuilt = executor.runtime_for(MODEL)
+        assert rebuilt is not old
+        assert rebuilt.fit(MODEL).gate is not gate
+        assert (_memo("miss"), _memo("hit")) == (2, 0)
+
+    @pytest.mark.parametrize("use_batch", [False, True], ids=["per-trial", "batched"])
+    def test_a_campaign_fits_once_per_member_set(self, multi_model_cache, tmp_path, use_batch):
+        victim = multi_model_cache / "net-01" / "pp-FlipX.val.probs.npz"
+        corrupt_file_truncate(victim, victim, keep_fraction=0.3, seed=5)
+        config = CampaignConfig(cache=str(multi_model_cache), n_trials=24, seed=7, timeout_s=60.0)
+        runner = CampaignRunner(config, tmp_path / "out", use_batch=use_batch)
+        runner.run()
+        records = CampaignJournal(tmp_path / "out" / JOURNAL_NAME).trial_records().values()
+        ok = [r for r in records if r["outcome"] == "ok"]
+        assert len(ok) == config.n_trials
+        pairs = {(r["result"]["model"], tuple(r["result"]["members"])) for r in ok}
+        assert ("net-01", ("ORG", "pp-Gamma_2", "pp-Hist", "replica-001")) in pairs
+        reg = runner.merged_registry
+        misses = reg.counter_value("decision_gate_memo_total", result="miss")
+        assert misses == len(pairs)
+        assert reg.histogram_for("decision_fit_seconds").count == misses
+        if not use_batch:
+            hits = reg.counter_value("decision_gate_memo_total", result="hit")
+            assert hits + misses == len(ok)

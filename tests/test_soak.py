@@ -151,8 +151,11 @@ class TestMetricsReconcileWithJournal:
         )
         assert taxonomy_corrupt == corrupt_loads
 
-        # 6. one decision-module fit per ok trial
-        assert reg.histogram_for("decision_fit_seconds").count == tally[OUTCOME_OK]
+        # 6. one gate-memo lookup per ok trial, and one real fit per miss
+        hits = reg.counter_value("decision_gate_memo_total", result="hit")
+        misses = reg.counter_value("decision_gate_memo_total", result="miss")
+        assert hits + misses == tally[OUTCOME_OK]
+        assert reg.histogram_for("decision_fit_seconds").count == misses
 
     def test_serial_soak_with_timeouts_and_errors_reconciles(self, tmp_path, bare_cache):
         """A fake workload that hangs and raises on schedule: the watchdog
