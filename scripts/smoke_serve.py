@@ -9,7 +9,9 @@ Three phases against one gateway subprocess over a synthetic cache::
 1. **Serve** — spawn ``python -m polygraphmr.serve`` (TCP, auto port,
    shared-memory plane on), wait for the ready line, fire concurrent
    classification requests plus a ping and a metrics op; every request must
-   be answered ``ok`` with the full member set.
+   be answered ``ok`` with the full member set, and each raw ``ok`` frame
+   must equal, byte for byte, canonical ``json.dumps`` of the payload an
+   in-process ``PolygraphService`` computes over the same cache.
 2. **SIGTERM mid-load** — start a paced stream of requests, SIGTERM the
    gateway while they are in flight, and require: every request accepted
    before the drain gets a terminal response, the process exits 0 within
@@ -42,10 +44,12 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from polygraphmr.serve import OUTCOMES, ServeRequest, request_frame  # noqa: E402
+from polygraphmr.serve import OUTCOMES, PolygraphService, ServeRequest, request_frame  # noqa: E402
+from polygraphmr.store import ArtifactStore  # noqa: E402
 
 N_MODELS = 2
 MODEL = "net-00"
+SEED = 7
 N_CONCURRENT = 24
 N_MIDLOAD = 40
 DEADLINE_S = 300.0
@@ -66,7 +70,7 @@ def start_gateway(tmp: Path) -> tuple[subprocess.Popen, int]:
         "--synthetic-models",
         str(N_MODELS),
         "--seed",
-        "7",
+        str(SEED),
         "--port",
         "0",
         "--batch-sleep",
@@ -91,7 +95,7 @@ def start_gateway(tmp: Path) -> tuple[subprocess.Popen, int]:
     return proc, int(ready["port"])
 
 
-async def one_request(port: int, request: ServeRequest) -> dict:
+async def one_frame(port: int, request: ServeRequest) -> bytes:
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(request_frame(request))
     await writer.drain()
@@ -99,19 +103,44 @@ async def one_request(port: int, request: ServeRequest) -> dict:
     writer.close()
     if not raw:
         raise SystemExit(f"FAIL: no response for request {request.id!r}")
-    return json.loads(raw)
+    return raw
 
 
-def phase_concurrent_requests(port: int) -> dict[str, int]:
+async def one_request(port: int, request: ServeRequest) -> dict:
+    return json.loads(await one_frame(port, request))
+
+
+def check_wire_bytes(cache: Path, requests: list[ServeRequest], frames: list[bytes]) -> None:
+    """Each raw ``ok`` frame must be canonical ``json.dumps`` of the payload
+    an in-process service computes over the same cache, byte for byte."""
+
+    service = PolygraphService(ArtifactStore(cache), seed=SEED)
+    for request, raw in zip(requests, frames):
+        answer = json.loads(raw)
+        expected = service.evaluate_requests(
+            request.model,
+            [request],
+            active=answer["members"],
+            shed=answer["shed"],
+            breaker_states=answer["breakers"],
+        )[0]
+        want = json.dumps(expected, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+        if raw != want:
+            raise SystemExit(f"FAIL: ok frame for {request.id!r} differs from json.dumps of the in-process payload")
+    print(f"OK: {len(frames)} ok frames byte-identical to json.dumps of the in-process payloads")
+
+
+def phase_concurrent_requests(port: int, cache: Path) -> dict[str, int]:
+    requests = [ServeRequest(id=f"r{i}", model=MODEL, samples=(i % 96,)) for i in range(N_CONCURRENT)]
+
     async def run():
-        payloads = await asyncio.gather(
-            *[one_request(port, ServeRequest(id=f"r{i}", model=MODEL, samples=(i % 96,))) for i in range(N_CONCURRENT)]
-        )
+        frames = await asyncio.gather(*[one_frame(port, request) for request in requests])
         pong = await one_request(port, ServeRequest(id="hb", op="ping"))
         snapshot = await one_request(port, ServeRequest(op="metrics"))
-        return payloads, pong, snapshot
+        return frames, pong, snapshot
 
-    payloads, pong, snapshot = asyncio.run(run())
+    frames, pong, snapshot = asyncio.run(run())
+    payloads = [json.loads(raw) for raw in frames]
     outcomes: dict[str, int] = {}
     for payload in payloads:
         outcomes[payload["outcome"]] = outcomes.get(payload["outcome"], 0) + 1
@@ -124,6 +153,7 @@ def phase_concurrent_requests(port: int) -> dict[str, int]:
     if snapshot["requests"]["ok"] != N_CONCURRENT or sum(snapshot["requests"].values()) != N_CONCURRENT:
         raise SystemExit(f"FAIL: metrics op disagrees with responses: {snapshot!r}")
     print(f"OK: {N_CONCURRENT} concurrent requests all ok; ping + metrics ops answered inline")
+    check_wire_bytes(cache, requests, frames)
     return outcomes
 
 
@@ -227,7 +257,7 @@ def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="polygraphmr-smoke-serve-"))
     proc, port = start_gateway(tmp)
     try:
-        outcomes = phase_concurrent_requests(port)
+        outcomes = phase_concurrent_requests(port, tmp / "cache")
         drain_outcomes, summary = phase_sigterm_mid_load(proc, port)
     finally:
         if proc.poll() is None:

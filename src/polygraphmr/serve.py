@@ -62,6 +62,11 @@ processes: the dispatcher's own per-batch CPU (parse, plan, encode) costs
 more than the evaluation an offload would save — see ARCHITECTURE "Why the
 gateway evaluates in-process".
 
+**Encoding.**  Each session memoizes the canonical JSON text of the
+probability rows it answers, keyed by each row's bytes, and
+:func:`response_frame` splices that text instead of formatting the floats
+again (see :class:`EncodedRows` and :meth:`PolygraphService._row_texts`).
+
 Latency quantiles (``serve_request_seconds``), queue depth, and
 shed/degraded/deadline-exceeded counters flow through
 :mod:`polygraphmr.metrics` and export as JSON + Prometheus on drain.
@@ -97,6 +102,7 @@ __all__ = [
     "OUTCOME_DEADLINE",
     "OUTCOME_ERROR",
     "ServeRequest",
+    "EncodedRows",
     "parse_request",
     "request_frame",
     "response_frame",
@@ -113,6 +119,7 @@ __all__ = [
 MAX_FRAME_BYTES = 1 << 20
 MAX_SAMPLES_PER_REQUEST = 4096
 MAX_ID_CHARS = 200
+MAX_SAMPLE_INDEX = 2**63 - 1  # sample indices are evaluated as int64
 
 OP_CLASSIFY = "classify"
 OP_PING = "ping"
@@ -165,6 +172,27 @@ def _frame_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
+# the encoder json.dumps builds for _frame_bytes' arguments, built once
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class EncodedRows(list):
+    """A response's ``probs`` rows together with their canonical JSON text.
+
+    To everything else it is the plain list of rows: it compares ``==`` to
+    one and ``json.dumps`` encodes it as one.  :func:`response_frame`
+    splices ``text`` instead of formatting every float again.  Frozen, like
+    :meth:`PolygraphService.static_stanza`: ``text`` is fixed when the rows
+    are built, so callers must not mutate them.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, rows: list, text: str):
+        super().__init__(rows)
+        self.text = text
+
+
 def request_frame(request: ServeRequest) -> bytes:
     """Serialize a request as one wire frame (canonical JSON + newline)."""
 
@@ -177,9 +205,32 @@ def response_frame(payload: dict) -> bytes:
     Canonical (sorted-key, minimal-separator) JSON: a response's bytes are a
     pure function of its payload, which is what makes the serial≡coalesced
     differential checks byte-exact rather than merely value-exact.
+
+    An answer whose ``probs`` is :class:`EncodedRows` — every payload
+    :meth:`PolygraphService.build_payloads` makes — is encoded in three
+    pieces: the keys sorting before ``probs``, the rows' cached text, and
+    the keys sorting after it.  That is exactly the text ``json.dumps``
+    writes for the whole payload, without re-formatting the floats.  Every
+    other payload (errors, sheds, deadlines, admin ops) is ``json.dumps``-ed
+    as it is.
     """
 
-    return _frame_bytes(payload)
+    rows = payload.get("probs")
+    if not isinstance(rows, EncodedRows):
+        return _frame_bytes(payload)
+    head: dict = {}
+    tail: dict = {}
+    for key, value in payload.items():
+        if key < "probs":
+            head[key] = value
+        elif key > "probs":
+            tail[key] = value
+    text = '"probs":' + rows.text
+    if head:
+        text = _CANONICAL.encode(head)[1:-1] + "," + text
+    if tail:
+        text += "," + _CANONICAL.encode(tail)[1:-1]
+    return ("{" + text + "}\n").encode("utf-8")
 
 
 def _bad(field_path: str, reason: str, detail: str = "") -> ConfigError:
@@ -249,6 +300,8 @@ def parse_request(line: bytes | str) -> ServeRequest:
             raise _bad(f"request.samples[{i}]", "bad-type", "sample index must be an integer")
         if value < 0:
             raise _bad(f"request.samples[{i}]", "out-of-range", "sample index must be >= 0")
+        if value > MAX_SAMPLE_INDEX:
+            raise _bad(f"request.samples[{i}]", "out-of-range", "sample index must be < 2**63")
         indices.append(value)
 
     deadline_ms = obj.get("deadline_ms")
@@ -339,6 +392,8 @@ class PolygraphService:
         self._base: dict[str, ModelSession] = {}
         self._derived: dict[tuple[str, tuple[str, ...]], ModelSession] = {}
         self._stanzas: dict[tuple[str, tuple[str, ...], tuple[str, ...]], dict] = {}
+        # per session: (bound, {probability-row float64 bytes: row JSON text})
+        self._row_memo: dict[tuple[str, tuple[str, ...]], tuple[int, dict[bytes, str]]] = {}
 
     # -- sessions --------------------------------------------------------
 
@@ -479,10 +534,17 @@ class PolygraphService:
         call per array (bit-identical to the old per-element
         ``float()``/``int()`` loops — enforced by a regression test), and
         the static stanza is shared by reference across payloads.
+
+        Each payload's ``probs`` is :class:`EncodedRows`: the rows plus
+        their canonical JSON text, joined from the session's row-text memo
+        (see :meth:`_row_texts`), so only rows the memo has not seen are
+        formatted.  Payloads still compare ``==`` to plain-list ones.
         """
 
         stanza = self.static_stanza(model, active, shed)
-        probs_list = probs.tolist()
+        rows = np.ascontiguousarray(probs, dtype=np.float64)
+        probs_list = rows.tolist()
+        texts = self._row_texts(model, active, rows, probs_list)
         predictions_list = predictions.tolist()
         flags_list = flags.tolist()
         payloads = []
@@ -494,13 +556,49 @@ class PolygraphService:
                 {
                     "id": request.id,
                     **stanza,
-                    "probs": probs_list[span],
+                    "probs": EncodedRows(probs_list[span], "[" + ",".join(texts[span]) + "]"),
                     "predictions": predictions_list[span],
                     "flags": flags_list[span],
                     "breakers": breaker_states,
                 }
             )
         return payloads
+
+    def _row_texts(self, model: str, active: list[str], rows: np.ndarray, rows_list: list) -> list[str]:
+        """Canonical JSON text of each row of ``rows`` (C-contiguous
+        float64; ``rows_list`` is its ``tolist()``), from the memo of the
+        ``(model, active)`` session.
+
+        The memo is keyed by a row's bytes, all of them read in one C call
+        through a ``np.void`` view, and not by its sample index: if a
+        resident tensor is later corrupted in place, the changed row misses
+        and is encoded from what ``evaluate`` returned, never answered with
+        a stale text.  It holds at most the session's ``n_samples`` rows and
+        is cleared when full, which deterministic evaluation never fills.
+        Adds the batch's hit and miss counts to
+        ``serve_encode_rows_total{result="hit"|"miss"}``.
+        """
+
+        key = (model, tuple(active))
+        entry = self._row_memo.get(key)
+        if entry is None:
+            entry = self._row_memo[key] = (self.session_for(model, key[1]).n_samples, {})
+        bound, memo = entry
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        texts = list(map(memo.get, keys))
+        misses = 0
+        if None in texts:
+            for i, text in enumerate(texts):
+                if text is None:
+                    if len(memo) >= bound:
+                        memo.clear()
+                    texts[i] = memo[keys[i]] = _CANONICAL.encode(rows_list[i])
+                    misses += 1
+        registry = get_registry()
+        for result, n in (("hit", len(keys) - misses), ("miss", misses)):
+            if n:
+                registry.counter("serve_encode_rows_total", result=result).inc(n)
+        return texts
 
     def evaluate_requests(
         self,

@@ -4,6 +4,7 @@ built here, never inline in a test file), plus paths into the real (seed)
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +41,38 @@ def _reset_observability():
 SYNTH_MEMBERS = ("ORG", "pp-Gamma_2", "pp-Hist", "pp-FlipX", "replica-001")
 
 
+def plain_copy(value):
+    """Deep copy with every list and dict rebuilt as a plain one."""
+
+    if isinstance(value, dict):
+        return {k: plain_copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [plain_copy(v) for v in value]
+    return value
+
+
+def canonical_frame(payload: dict) -> bytes:
+    """``json.dumps`` of a plain deep copy: the wire frame a payload must
+    encode to, computed without any cached row text."""
+
+    return json.dumps(plain_copy(payload), sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
 @pytest.fixture()
 def synthetic_cache(tmp_path: Path) -> Path:
     """A cache root holding one fully-valid model named ``tinynet``."""
 
     root = tmp_path / "cache"
+    build_synthetic_model(root, "tinynet", members=SYNTH_MEMBERS, n_val=160, n_test=160, seed=7)
+    return root
+
+
+@pytest.fixture(scope="module")
+def module_synthetic_cache(tmp_path_factory: pytest.TempPathFactory) -> Path:
+    """``synthetic_cache`` built once per test module, for Hypothesis tests
+    (which cannot take function-scoped fixtures)."""
+
+    root = tmp_path_factory.mktemp("module-cache")
     build_synthetic_model(root, "tinynet", members=SYNTH_MEMBERS, n_val=160, n_test=160, seed=7)
     return root
 

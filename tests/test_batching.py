@@ -7,6 +7,8 @@ Plus hypothesis properties that every kernel's rows are independent: row
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from polygraphmr.campaign import (
     CampaignConfig,
     CampaignJournal,
     CampaignRunner,
+    TrialExecutor,
     scenarios_config_field,
     verify_campaign,
 )
@@ -151,14 +154,21 @@ class TestSerialBatchedEquivalence:
         ).value
         assert fallback > 0, "breaker activity never forced a serial fallback"
 
-    def test_timeouts_are_journalled_identically(self, multi_model_cache, tmp_path):
-        # a 1 µs budget always fires before a real trial can finish, so every
-        # probe times out and the whole campaign replays down the serial path
-        config = _config(multi_model_cache, n_trials=8, timeout_s=1e-6)
-        serial = CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
-        assert serial["outcomes"].get("trial_timeout") == 8
-        CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
+    def test_timeouts_are_journalled_identically(self, multi_model_cache, tmp_path, monkeypatch):
+        # every trial body blocks until the test ends, so the 1 µs budget
+        # fires on each one whatever the thread scheduling: every probe times
+        # out and the whole campaign replays down the serial path.  Patching
+        # the trial body, not passing a trial_fn, keeps batching eligible.
+        release = threading.Event()
+        monkeypatch.setattr(TrialExecutor, "_run_trial", lambda self, spec: release.wait())
+        try:
+            config = _config(multi_model_cache, n_trials=8, timeout_s=1e-6)
+            serial = CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+            assert serial["outcomes"].get("trial_timeout") == 8
+            CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
+            assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
+        finally:
+            release.set()  # let the abandoned watchdog threads finish
 
     def test_kernel_timeout_falls_back_to_serial_replay(self, synthetic_cache, tmp_path, monkeypatch):
         config = _config(synthetic_cache, n_trials=4, timeout_s=0.75)

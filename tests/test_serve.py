@@ -27,6 +27,7 @@ from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import ConfigError, RetryPolicy
 from polygraphmr.metrics import get_registry
 from polygraphmr.serve import (
+    MAX_SAMPLE_INDEX,
     OUTCOME_DEADLINE,
     OUTCOME_DEGRADED,
     OUTCOME_ERROR,
@@ -39,10 +40,13 @@ from polygraphmr.serve import (
     coalesce_slices,
     flat_sample_indices,
     main,
+    parse_request,
     request_frame,
     response_frame,
 )
 from polygraphmr.store import ArtifactStore
+
+from .conftest import canonical_frame
 
 MODEL = "tinynet"
 
@@ -371,6 +375,44 @@ class TestErrorsOverTheWire:
         assert payload["error"]["reason"] == "unknown-field"
         assert get_registry().counter_value("serve_requests_total", outcome=OUTCOME_ERROR) == 1
 
+    def test_sample_index_past_int64_is_an_error_and_the_gateway_keeps_serving(self, service):
+        """An index of 2**63 or more once passed parsing and raised
+        OverflowError in the int64 range check, killing the dispatcher: no
+        later request on any connection was answered."""
+
+        async def run():
+            gateway = make_gateway(service)
+            await gateway.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", gateway.bound_port)
+                try:
+                    writer.write(b'{"id":"a","model":"tinynet","samples":[100000000000000000000000]}\n')
+                    await writer.drain()
+                    bad = await asyncio.wait_for(reader.readline(), timeout=10.0)
+                finally:
+                    writer.close()
+                after = await asyncio.wait_for(
+                    tcp_request(gateway.bound_port, ServeRequest(id="b", model=MODEL, samples=(0,))), timeout=10.0
+                )
+                return json.loads(bad), after[0]
+            finally:
+                await asyncio.wait_for(gateway.drain(), timeout=10.0)
+
+        bad, after = asyncio.run(run())
+        assert bad["id"] == "a"
+        assert bad["outcome"] == OUTCOME_ERROR
+        assert bad["error"]["field"] == "request.samples[0]"
+        assert bad["error"]["reason"] == "out-of-range"
+        assert after["id"] == "b" and after["outcome"] == OUTCOME_OK
+
+    def test_int64_is_the_parse_bound_for_sample_indices(self):
+        frame = '{{"id": "i", "model": "{}", "samples": [1, {}]}}'
+        assert parse_request(frame.format(MODEL, MAX_SAMPLE_INDEX)).samples == (1, 2**63 - 1)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_request(frame.format(MODEL, MAX_SAMPLE_INDEX + 1))
+        assert excinfo.value.field == "request.samples[1]"
+        assert excinfo.value.reason == "out-of-range"
+
 
 class TestTransportsAndOps:
     def test_unix_socket_round_trip(self, service, tmp_path):
@@ -562,3 +604,64 @@ class TestEncoderByteIdentity:
         other = service.static_stanza(MODEL, ["ORG"], ["pp-Gamma_2"])
         assert other is not first
         assert other["shed"] == ["pp-Gamma_2"]
+
+
+class TestRowTextMemo:
+    """The per-session memo of probability-row texts behind ``response_frame``."""
+
+    @staticmethod
+    def memo(service, members) -> dict:
+        return service._row_memo[(MODEL, tuple(members))][1]
+
+    def test_memo_never_exceeds_n_samples_even_when_rows_keep_changing(self, service):
+        base = service.base_session(MODEL)
+        everything = ServeRequest(id="all", model=MODEL, samples=tuple(range(base.n_samples)))
+        registry = get_registry()
+        service.evaluate_requests(MODEL, [everything])
+        misses = registry.counter_value("serve_encode_rows_total", result="miss")
+        (payload,) = service.evaluate_requests(MODEL, [everything])
+        assert registry.counter_value("serve_encode_rows_total", result="miss") == misses, "warm pass re-encoded"
+        assert response_frame(payload) == canonical_frame(payload)
+        assert len(self.memo(service, base.members)) <= base.n_samples
+        # every pass over new member values brings n_samples new rows: the
+        # memo clears when full instead of growing
+        for shift in (1, 2, 3):
+            base.test_stack[0] = np.roll(base.test_stack[0], shift, axis=1)
+            (payload,) = service.evaluate_requests(MODEL, [everything])
+            assert len(self.memo(service, base.members)) <= base.n_samples
+            assert response_frame(payload) == canonical_frame(payload)
+        total = registry.counter_value("serve_encode_rows_total", result="hit") + registry.counter_value(
+            "serve_encode_rows_total", result="miss"
+        )
+        assert total == 5 * base.n_samples
+
+    def test_shed_subset_session_has_its_own_memo(self, service):
+        base = service.base_session(MODEL)
+        subset = base.members[:-1]
+        request = ServeRequest(id="s", model=MODEL, samples=(0, 1, 2))
+        service.evaluate_requests(MODEL, [request])
+        shed = service.evaluate_requests(MODEL, [request], active=subset, shed=base.members[-1:])[0]
+        full_memo, shed_memo = self.memo(service, base.members), self.memo(service, subset)
+        assert full_memo is not shed_memo
+        assert len(full_memo) == len(shed_memo) == 3
+        assert set(full_memo).isdisjoint(shed_memo)
+        assert get_registry().counter_value("serve_encode_rows_total", result="miss") == 6
+        assert response_frame(shed) == canonical_frame(shed)
+
+    def test_in_place_corruption_re_encodes_the_new_value(self, synthetic_cache, service):
+        """The memo key is the row's content, not its sample index: a
+        resident value overwritten after the memo is warm is answered from
+        what ``evaluate`` now returns, exactly as a fresh service answers."""
+
+        request = ServeRequest(id="x", model=MODEL, samples=(5, 6))
+        before = response_frame(service.respond(request))
+        fresh = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        for svc in (service, fresh):
+            svc.base_session(MODEL).test_stack[0, 5, 0] += 0.25
+        registry = get_registry()
+        misses = registry.counter_value("serve_encode_rows_total", result="miss")
+        after = response_frame(service.respond(request))
+        assert registry.counter_value("serve_encode_rows_total", result="miss") == misses + 1
+        assert after != before
+        assert after == response_frame(fresh.respond(request))
+        assert after == canonical_frame(service.respond(request))

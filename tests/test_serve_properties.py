@@ -1,24 +1,32 @@
 """Property tests for the serving wire codec: parse∘serialize is a fixed
-point, malformed frames are rejected with exact field paths, and the frame
-assembler reconstructs frames across arbitrary chunk splits."""
+point, malformed frames are rejected with exact field paths, the frame
+assembler reconstructs frames across arbitrary chunk splits, and answers
+encoded from cached row texts are the bytes ``json.dumps`` writes."""
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polygraphmr.breaker import HALF_OPEN, OPEN
 from polygraphmr.errors import ConfigError, ServeError
 from polygraphmr.serve import (
     MAX_ID_CHARS,
     MAX_SAMPLES_PER_REQUEST,
     FrameAssembler,
+    PolygraphService,
     ServeRequest,
     parse_request,
     request_frame,
+    response_frame,
 )
+from polygraphmr.store import ArtifactStore
+
+from .conftest import canonical_frame, plain_copy
 
 _ids = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.", min_size=1, max_size=24
@@ -214,3 +222,107 @@ class TestFrameAssembly:
         # a terminated frame of any length under the bound is still fine
         ok = FrameAssembler(max_frame_bytes=limit)
         assert ok.feed(b"y" * limit + b"\n") == [b"y" * limit]
+
+
+# floats whose shortest repr sits on a formatting boundary: signed zero,
+# subnormals, and the 1e-5 / 1e16 switches between positional and
+# exponent notation
+_EDGE_FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    2.225073858507201e-308,
+    2.2250738585072014e-308,
+    9.999999999999999e-06,
+    1e-05,
+    0.0001,
+    9999999999999998.0,
+    1e16,
+    1.0000000000000002e16,
+    0.1,
+    1.0,
+)
+_prob_values = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_wire_ids = st.one_of(
+    st.text(min_size=1, max_size=12),
+    st.sampled_from(['"', "\\", "a\nb\tc", "\x00\x1f", "é", "☃", "\U0001f600", "\u2028", '"probs":[]']),
+)
+
+
+# every key of an answer payload except ``probs``
+_PAYLOAD_KEYS = "breakers degraded flags id members missing model outcome predictions quarantined shed".split()
+
+
+@st.composite
+def answer_batches(draw) -> dict:
+    """One model group's raw evaluation arrays, split over 1+ requests.
+
+    Rows are drawn from a small pool so a batch repeats rows, and the
+    memo sees both hits and misses."""
+
+    n_classes = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(_prob_values, min_size=n_classes, max_size=n_classes)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    n = draw(st.integers(min_value=1, max_value=8))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), min_size=n, max_size=n))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=max(1, n - 1)), max_size=3))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    counts = [b - a for a, b in zip(bounds, bounds[1:])]
+    return {
+        "ids": draw(st.lists(_wire_ids, min_size=len(counts), max_size=len(counts))),
+        "counts": counts,
+        "probs": np.array([pool[i] for i in picks], dtype=np.float64).reshape(n, n_classes),
+        "predictions": np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))),
+        "flags": np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+    }
+
+
+@pytest.fixture(scope="module")
+def encoding_service(module_synthetic_cache):
+    return PolygraphService(ArtifactStore(module_synthetic_cache), seed=0)
+
+
+class TestAnswerEncoding:
+    @settings(max_examples=150)
+    @given(
+        batch=answer_batches(),
+        shed_mask=st.lists(st.booleans(), min_size=3, max_size=3),
+        breakers=st.dictionaries(
+            st.sampled_from(["pp-FlipX", "pp-Gamma_2", "pp-Hist", "replica-001"]),
+            st.sampled_from([OPEN, HALF_OPEN]),
+        ),
+        kept=st.sets(st.sampled_from(_PAYLOAD_KEYS)),
+    )
+    def test_response_frame_equals_json_dumps_of_a_plain_copy(
+        self, encoding_service, batch, shed_mask, breakers, kept
+    ):
+        members = encoding_service.base_session("tinynet").members
+        # the first keep_members (2) members never shed
+        shed = [stem for stem, drop in zip(members[2:], shed_mask) if drop]
+        active = [stem for stem in members if stem not in shed]
+        requests = [
+            ServeRequest(id=rid, model="tinynet", samples=tuple(range(count)))
+            for rid, count in zip(batch["ids"], batch["counts"])
+        ]
+        payloads = encoding_service.build_payloads(
+            "tinynet",
+            requests,
+            batch["counts"],
+            batch["probs"],
+            batch["predictions"],
+            batch["flags"],
+            active=active,
+            shed=shed,
+            breaker_states=breakers,
+        )
+        for payload in payloads:
+            assert payload == plain_copy(payload)
+            assert response_frame(payload) == canonical_frame(payload)
+            # a subset of the keys, as a caller comparing a few fields
+            # encodes, may leave nothing before or after ``probs``
+            partial = {key: payload[key] for key in kept | {"probs"}}
+            assert response_frame(partial) == canonical_frame(partial)

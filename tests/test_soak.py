@@ -292,3 +292,10 @@ class TestServeSoak:
         batch_sizes = reg.histogram_for("serve_batch_size")
         assert batch_sizes is not None and batch_sizes.sum == executed
         assert batch_sizes.count == reg.counter_value("serve_batches_total")
+        # every answered sample's probability row was encoded exactly once,
+        # from the row-text memo or by formatting it
+        rows = reg.counter_value("serve_encode_rows_total", result="hit") + reg.counter_value(
+            "serve_encode_rows_total", result="miss"
+        )
+        answered = [p for p in [*responses, final] if p["outcome"] in ("ok", "degraded")]
+        assert rows == sum(len(p["probs"]) for p in answered)
